@@ -56,7 +56,6 @@ from .sweep import (
     SweepSpec,
     emit_csv,
     emit_validation_csv,
-    evaluate_point,
     figure_preset,
     run_sweep,
 )
@@ -100,7 +99,6 @@ __all__ = [
     "SweepSpec",
     "SweepRow",
     "FIGURE_NAMES",
-    "evaluate_point",
     "run_sweep",
     "figure_preset",
     "emit_csv",

@@ -132,7 +132,7 @@ def build_parser() -> argparse.ArgumentParser:
         default="1e-3,1e-2,1e-1",
         help="comma-separated frequencies as fractions of omega_p",
     )
-    pv.add_argument("--tol", default="1e-10", help="quadrature tolerance")
+    pv.add_argument("--tol", type=float, help="unused: p = 1 needs no quadrature")
     _add_material_flags(pv)
 
     return parser
@@ -155,21 +155,18 @@ def _cmd_sweep(args, parser) -> int:
             "drop the fixed value"
         )
     fixed.pop(swept_key, None)
-    try:
-        spec = SweepSpec(
-            swept=args.swept,
-            grid=GridSpec(
-                min=float(args.min),
-                max=float(args.max),
-                count=int(args.count),
-                scale=args.scale or "linear",
-            ),
-            material=material,
-            tol=float(args.tol) if args.tol is not None else 1e-10,
-            **fixed,
-        )
-    except ValueError as exc:
-        parser.error(str(exc))
+    spec = SweepSpec(
+        swept=args.swept,
+        grid=GridSpec(
+            min=float(args.min),
+            max=float(args.max),
+            count=int(args.count),
+            scale=args.scale or "linear",
+        ),
+        material=material,
+        tol=float(args.tol) if args.tol is not None else 1e-10,
+        **fixed,
+    )
     emit_csv(run_sweep(spec), args.out)
     return 0
 
@@ -189,28 +186,28 @@ def _cmd_figure(args, parser) -> int:
 
 def _cmd_validate(args, parser) -> int:
     material = _material_from_args(args, parser)
-    try:
-        fracs = tuple(float(f) for f in args.omega_fracs.split(","))
-        setups = default_validation_setups(
-            material,
-            d_min=float(args.d_min),
-            d_max=float(args.d_max),
-            d_count=int(args.d_count),
-            omega_fracs=fracs,
-            theta=float(args.theta),
-        )
-        rows = validate_thin_film(material, setups, tol=float(args.tol))
-    except ValueError as exc:
-        parser.error(str(exc))
-    emit_validation_csv(rows, args.out)
+    fracs = tuple(float(f) for f in args.omega_fracs.split(","))
+    setups = default_validation_setups(
+        material,
+        d_min=float(args.d_min),
+        d_max=float(args.d_max),
+        d_count=int(args.d_count),
+        omega_fracs=fracs,
+        theta=float(args.theta),
+    )
+    emit_validation_csv(validate_thin_film(material, setups), args.out)
     return 0
 
 
 def main(argv=None) -> int:
+    """Run one subcommand; bad input and an unwritable output exit with code 2."""
     parser = build_parser()
     args = parser.parse_args(argv)
     handlers = {"sweep": _cmd_sweep, "figure": _cmd_figure, "validate": _cmd_validate}
-    return handlers[args.command](args, parser)
+    try:
+        return handlers[args.command](args, parser)
+    except (ValueError, OSError) as exc:
+        parser.error(str(exc))
 
 
 if __name__ == "__main__":

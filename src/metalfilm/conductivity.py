@@ -25,7 +25,6 @@ and Im(w) <= 0.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -35,6 +34,7 @@ from .quadrature import integrate_complex
 __all__ = [
     "ConductivityResult",
     "complex_thickness",
+    "drude_conductivity",
     "fuchs_integrand",
     "integrate_fuchs",
     "phi_inverse",
@@ -70,10 +70,22 @@ def _check_w_p(w: complex, p: float) -> None:
         raise ValueError(f"p must lie in [0, 1], got {p!r}")
 
 
-def complex_thickness(m: MaterialParams, s: FilmSetup) -> complex:
-    """Dimensionless complex thickness w = (d/l)*(1 - i*omega*tau)."""
+def drude_conductivity(m: MaterialParams, omega):
+    """Bulk Drude conductivity sigma_0/(1 - i*omega*tau), 1/s: sigma_d at p = 1.
+
+    ``omega`` may be a scalar or a numpy array.
+    """
     der = derive_bulk(m)
-    return (s.d / der.l) * complex(1.0, -s.omega * der.tau)
+    return der.sigma_0 / (1.0 - 1j * (omega * der.tau))
+
+
+def complex_thickness(m: MaterialParams, d, omega):
+    """Dimensionless complex thickness w = (d/l)*(1 - i*omega*tau).
+
+    ``d`` and ``omega`` may be scalars or numpy arrays (broadcast).
+    """
+    der = derive_bulk(m)
+    return (d / der.l) * (1.0 - 1j * (omega * der.tau))
 
 
 def fuchs_integrand(t, w: complex, p: float):
@@ -93,18 +105,6 @@ def fuchs_integrand(t, w: complex, p: float):
     return out if out.ndim else complex(out)
 
 
-@lru_cache(maxsize=4096)
-def _fuchs_integral_cached(w: complex, p: float, tol: float) -> tuple[complex, float]:
-    def transformed(u):
-        # t = 1/u maps [1, inf) onto (0, 1]; the integrand becomes
-        # (u - u^3)*(1 - e^{-w/u})/(1 - p e^{-w/u}), smooth with limit 0 at u=0.
-        with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-            decay = np.exp(-w / u)
-            return (u - u**3) * (1.0 - decay) / (1.0 - p * decay)
-
-    return integrate_complex(transformed, 0.0, 1.0, tol=tol, max_panels=10_000)
-
-
 def integrate_fuchs(w: complex, p: float, tol: float = 1e-10) -> tuple[complex, float]:
     """Evaluate I(w, p) adaptively.
 
@@ -115,7 +115,16 @@ def integrate_fuchs(w: complex, p: float, tol: float = 1e-10) -> tuple[complex, 
     _check_w_p(complex(w), p)
     if not tol > 0.0:
         raise ValueError(f"tol must be > 0, got {tol!r}")
-    return _fuchs_integral_cached(complex(w), float(p), float(tol))
+    w, p = complex(w), float(p)
+
+    def transformed(u):
+        # t = 1/u maps [1, inf) onto (0, 1]; the integrand becomes
+        # (u - u^3)*(1 - e^{-w/u})/(1 - p e^{-w/u}), smooth with limit 0 at u=0.
+        with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+            decay = np.exp(-w / u)
+            return (u - u**3) * (1.0 - decay) / (1.0 - p * decay)
+
+    return integrate_complex(transformed, 0.0, 1.0, tol=float(tol), max_panels=10_000)
 
 
 def phi_inverse_from_integral(w: complex, p: float, integral: complex) -> complex:
@@ -140,10 +149,8 @@ def sigma_d(m: MaterialParams, s: FilmSetup, tol: float = 1e-10) -> Conductivity
     electron distribution, so the size effect vanishes identically.
     Quadrature and domain errors propagate to the caller.
     """
-    der = derive_bulk(m)
-    omega_tau = s.omega * der.tau
-    drude = der.sigma_0 / complex(1.0, -omega_tau)
-    w = (s.d / der.l) * complex(1.0, -omega_tau)
+    drude = drude_conductivity(m, s.omega)
+    w = complex_thickness(m, s.d, s.omega)
     if s.p == 1.0:
         return ConductivityResult(
             sigma_d=drude, phi_inverse=1.0 / w, quad_error_estimate=0.0

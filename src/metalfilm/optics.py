@@ -18,6 +18,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .materials import C_LIGHT
 
 __all__ = [
@@ -55,46 +57,79 @@ class ImpedancePair:
 
 @dataclass(frozen=True)
 class OpticalCoefficients:
-    """Energy transmission, reflection and absorption fractions."""
+    """Energy transmission, reflection and absorption fractions.
+
+    Python floats for a single film; numpy arrays when the inputs were arrays.
+    """
 
     T: float
     R: float
     A: float
 
 
-def b_factor(sigma: complex, d: float, theta: float) -> complex:
+def _first(x: np.ndarray, mask: np.ndarray):
+    """The first element of ``x`` where ``mask`` holds, for error messages."""
+    return x[mask].flat[0].item()
+
+
+def b_factor(sigma, d, theta):
     """Film admittance B = 2*pi*d*sigma/(c*cos(theta)).
 
+    Scalars or numpy arrays (broadcast); scalar input returns a complex.
     Requires 0 <= theta < pi/2; exactly pi/2 raises GrazingIncidenceError
     so callers can switch to the analytic grazing limit.
     """
-    if not d > 0.0:
-        raise ValueError(f"d must be > 0, got {d!r}")
-    if theta == math.pi / 2:
+    d, theta = np.asarray(d, dtype=float), np.asarray(theta, dtype=float)
+    bad = ~(d > 0.0)
+    if np.count_nonzero(bad):
+        raise ValueError(f"d must be > 0, got {_first(d, bad)!r}")
+    if np.count_nonzero(theta == math.pi / 2):
         raise GrazingIncidenceError("theta = pi/2: use the grazing limit (0, 1, 0)")
-    if not 0.0 <= theta < math.pi / 2:
-        raise ValueError(f"theta must lie in [0, pi/2), got {theta!r}")
-    return 2.0 * math.pi * d * sigma / (C_LIGHT * math.cos(theta))
+    bad = ~((0.0 <= theta) & (theta < math.pi / 2))
+    if np.count_nonzero(bad):
+        raise ValueError(f"theta must lie in [0, pi/2), got {_first(theta, bad)!r}")
+    b = 2.0 * math.pi * d * sigma / (C_LIGHT * np.cos(theta))
+    return b if b.ndim else complex(b)
 
 
-def tra_from_b(b: complex) -> OpticalCoefficients:
+def _coefficients(T, R, A) -> OpticalCoefficients:
+    """Python floats for 0-d input, arrays otherwise."""
+    if np.ndim(T):
+        return OpticalCoefficients(T=T, R=R, A=A)
+    return OpticalCoefficients(T=float(T), R=float(R), A=float(A))
+
+
+def _mirror_where(mask: np.ndarray, T, R, A):
+    """Replace the masked elements by the perfect-mirror limit (0, 1, 0)."""
+    if np.count_nonzero(mask):
+        return np.where(mask, 0.0, T), np.where(mask, 1.0, R), np.where(mask, 0.0, A)
+    return T, R, A
+
+
+def _tra_arrays(b: np.ndarray):
+    br, bi = b.real, b.imag
+    bad = br < 0.0
+    if np.count_nonzero(bad):
+        raise PassivityError(f"Re(B) must be >= 0, got B={_first(b, bad)!r}")
+    with np.errstate(over="ignore", invalid="ignore"):
+        bi2 = bi**2
+        denom = (1.0 + br) ** 2 + bi2
+        T, R, A = 1.0 / denom, (br**2 + bi2) / denom, 2.0 * br / denom
+    # |1+B|^2 beyond the float range: the film is a perfect mirror
+    return _mirror_where(np.isinf(denom), T, R, A)
+
+
+def tra_from_b(b) -> OpticalCoefficients:
     """Coefficients from the film admittance.
 
+    Accepts a scalar or a numpy array of admittances; the coefficients are
+    Python floats for scalar input and arrays of the same shape otherwise.
     T + R + A = 1 holds algebraically since |1+B|^2 = 1 + |B|^2 + 2*Re(B).
     R is computed as |B|^2/|1+B|^2 (identical to 1/|1+1/B|^2) so that
-    B = 0 cleanly yields the transparent-film limit (1, 0, 0).
+    B = 0 cleanly yields the transparent-film limit (1, 0, 0).  Any
+    element with Re(B) < 0 raises PassivityError.
     """
-    b = complex(b)
-    if b.real < 0.0:
-        raise PassivityError(f"Re(B) must be >= 0, got B={b!r}")
-    denom = abs(1.0 + b) ** 2
-    if math.isinf(denom):
-        return OpticalCoefficients(T=0.0, R=1.0, A=0.0)
-    return OpticalCoefficients(
-        T=1.0 / denom,
-        R=abs(b) ** 2 / denom,
-        A=2.0 * b.real / denom,
-    )
+    return _coefficients(*_tra_arrays(np.asarray(b, dtype=complex)))
 
 
 def thin_impedances(
@@ -155,12 +190,14 @@ def tra_from_impedances(z: ImpedancePair, theta: float) -> OpticalCoefficients:
     return OpticalCoefficients(T=T, R=R, A=1.0 - T - R)
 
 
-def tra_for_film(sigma: complex, d: float, theta: float) -> OpticalCoefficients:
+def tra_for_film(sigma, d, theta) -> OpticalCoefficients:
     """Grazing-safe coefficients for a film of conductivity ``sigma``.
 
-    theta = pi/2 returns the analytic limit (0, 1, 0); otherwise the
-    admittance route is used.
+    Scalars or numpy arrays (broadcast), returned as by :func:`tra_from_b`.
+    Elements at theta = pi/2 take the analytic limit (0, 1, 0); the others
+    use the admittance route.
     """
-    if theta == math.pi / 2:
-        return OpticalCoefficients(T=0.0, R=1.0, A=0.0)
-    return tra_from_b(b_factor(sigma, d, theta))
+    theta = np.asarray(theta, dtype=float)
+    grazing = theta == math.pi / 2
+    b = np.asarray(b_factor(sigma, d, np.where(grazing, 0.0, theta)), dtype=complex)
+    return _coefficients(*_mirror_where(grazing, *_tra_arrays(np.where(grazing, 0.0, b))))

@@ -24,7 +24,9 @@ import math
 from dataclasses import dataclass
 from typing import Iterable
 
-from .conductivity import complex_thickness, sigma_d
+import numpy as np
+
+from .conductivity import complex_thickness, drude_conductivity
 from .materials import C_LIGHT, FilmSetup, MaterialParams
 from .optics import ImpedancePair, OpticalCoefficients, tra_for_film, tra_from_impedances
 
@@ -143,46 +145,51 @@ class ValidationRow:
     d_over_delta: float
 
 
-def validate_thin_film(
-    m: MaterialParams,
-    setups: Iterable[FilmSetup],
-    tol: float = 1e-10,
-) -> list[ValidationRow]:
+def validate_thin_film(m: MaterialParams, setups: Iterable[FilmSetup]) -> list[ValidationRow]:
     """Compare the thin-film coefficients with the exact slab solution.
 
     Every setup must have p = 1 (only specular surfaces admit a local
-    oracle) and omega > 0.  Deviations are reported as data, not
+    oracle) and omega > 0.  The conductivity is then the bulk Drude value,
+    so the thin-film side is evaluated as arrays over all setups; the
+    exact side is solved per setup.  Deviations are reported as data, not
     failures: the report is what documents where the thin-film model
     breaks down.  d_over_delta is d*Im(q), the thickness in units of the
     actual field penetration depth at that frequency.
     """
-    rows = []
+    setups = list(setups)
     for s in setups:
         if s.p != 1.0:
             raise ValueError(f"oracle comparison requires p = 1, got p={s.p!r}")
-        res = sigma_d(m, s, tol)
-        thin = tra_for_film(res.sigma_d, s.d, s.theta)
-        lp = LocalSlabParams(sigma_local=res.sigma_d, d=s.d, theta=s.theta, omega=s.omega)
+    d, theta, omega = (np.array([getattr(s, f) for s in setups], dtype=float)
+                       for f in ("d", "theta", "omega"))
+    sigma = drude_conductivity(m, omega)
+    w = complex_thickness(m, d, omega)
+    thin = tra_for_film(sigma, d, theta)
+    rows = []
+    for s, sig, T, R, A, w_i, kd in zip(
+        setups, sigma.tolist(), thin.T.tolist(), thin.R.tolist(), thin.A.tolist(),
+        w.tolist(), (omega * d / C_LIGHT).tolist(),
+    ):
+        lp = LocalSlabParams(sigma_local=sig, d=s.d, theta=s.theta, omega=s.omega)
         exact = exact_tra(lp)
         q = slab_wavevector(lp)
-        w = complex_thickness(m, s)
         rows.append(
             ValidationRow(
                 d=s.d,
                 theta=s.theta,
                 omega_over_omega_p=s.omega / m.omega_p,
-                T=thin.T,
-                R=thin.R,
-                A=thin.A,
-                re_sigma_d=res.sigma_d.real,
-                im_sigma_d=res.sigma_d.imag,
-                re_w=w.real,
-                im_w=w.imag,
-                kd=s.omega * s.d / C_LIGHT,
-                quad_err=res.quad_error_estimate,
-                abs_dT=abs(thin.T - exact.T),
-                abs_dR=abs(thin.R - exact.R),
-                abs_dA=abs(thin.A - exact.A),
+                T=T,
+                R=R,
+                A=A,
+                re_sigma_d=sig.real,
+                im_sigma_d=sig.imag,
+                re_w=w_i.real,
+                im_w=w_i.imag,
+                kd=kd,
+                quad_err=0.0,
+                abs_dT=abs(T - exact.T),
+                abs_dR=abs(R - exact.R),
+                abs_dA=abs(A - exact.A),
                 d_over_delta=s.d * q.imag,
             )
         )

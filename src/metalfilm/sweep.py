@@ -2,10 +2,10 @@
 
 A sweep varies exactly one of {theta, d, p, omega} over a grid while the
 other film parameters stay fixed, evaluating the conductivity and the
-(T, R, A) triple at every point and emitting the rows as CSV.  Frequencies
-are specified and reported as fractions of the plasma frequency, which
-keeps the output files material-independent.  Evaluation is deterministic:
-the same spec always produces byte-identical CSV.
+(T, R, A) triple over the whole grid as numpy arrays and emitting the rows
+as CSV.  Frequencies are specified and reported as fractions of the plasma
+frequency, which keeps the output files material-independent.  Evaluation
+is deterministic: the same spec always produces byte-identical CSV.
 """
 
 from __future__ import annotations
@@ -19,10 +19,11 @@ import numpy as np
 
 from .conductivity import (
     complex_thickness,
+    drude_conductivity,
     phi_inverse_from_integral,
     sigma_d,
 )
-from .materials import C_LIGHT, FilmSetup, MaterialParams, derive_bulk, sodium_preset
+from .materials import C_LIGHT, FilmSetup, MaterialParams, sodium_preset
 from .optics import tra_for_film
 from .quadrature import QuadratureError
 from .slab import ValidationRow
@@ -32,7 +33,6 @@ __all__ = [
     "SweepSpec",
     "SweepRow",
     "FIGURE_NAMES",
-    "evaluate_point",
     "run_sweep",
     "figure_preset",
     "emit_csv",
@@ -40,20 +40,6 @@ __all__ = [
 ]
 
 _SWEPT_CHOICES = ("theta", "d", "p", "omega")
-
-
-def _check_grid_domain(swept: str, grid: "GridSpec") -> None:
-    """Grid bounds must stay inside the swept parameter's valid domain."""
-    ok = {
-        "theta": 0.0 <= grid.min and grid.max <= math.pi / 2,
-        "d": grid.min > 0.0,
-        "p": 0.0 <= grid.min and grid.max <= 1.0,
-        "omega": grid.min >= 0.0,
-    }[swept]
-    if not ok:
-        raise ValueError(
-            f"grid [{grid.min!r}, {grid.max!r}] outside the valid domain of {swept!r}"
-        )
 
 
 CSV_HEADER = "swept_name,swept_value,T,R,A,re_sigma_d,im_sigma_d,re_w,im_w,kd,quad_err"
@@ -96,7 +82,9 @@ class SweepSpec:
 
     The fixed field corresponding to ``swept`` must be left as None; the
     others must be set.  omega_frac is omega/omega_p (both for the fixed
-    value and, when sweeping omega, for the grid bounds).
+    value and, when sweeping omega, for the grid bounds).  The fixed values
+    and both grid ends are checked through FilmSetup on construction, so
+    an invalid spec fails before any point is evaluated.
     """
 
     swept: str
@@ -112,17 +100,17 @@ class SweepSpec:
     def __post_init__(self) -> None:
         if self.swept not in _SWEPT_CHOICES:
             raise ValueError(f"swept must be one of {_SWEPT_CHOICES}, got {self.swept!r}")
-        _check_grid_domain(self.swept, self.grid)
         fixed = {"d": self.d, "theta": self.theta, "omega": self.omega_frac, "p": self.p}
-        swept_key = "omega" if self.swept == "omega" else self.swept
         for name, value in fixed.items():
-            if name == swept_key:
+            if name == self.swept:
                 if value is not None:
                     raise ValueError(f"{name} is swept and must not also be fixed")
             elif value is None:
                 raise ValueError(f"fixed value for {name} is required")
         if not self.tol > 0.0:
             raise ValueError(f"tol must be > 0, got {self.tol!r}")
+        self.setup_for(self.grid.min)
+        self.setup_for(self.grid.max)
 
     def setup_for(self, value: float) -> FilmSetup:
         """FilmSetup at one grid point (omega sweeps take the fraction)."""
@@ -155,62 +143,60 @@ class SweepRow:
     quad_err: float
 
 
-def _clamp01(x: float) -> float:
-    return 0.0 if x < 0.0 else 1.0 if x > 1.0 else x
-
-
-def _conductivity_best_effort(material, setup, tol):
+def _sigma_best_estimate(material: MaterialParams, setup: FilmSetup, tol: float):
     """sigma_d, but a quadrature budget failure degrades to the best estimate."""
     try:
         res = sigma_d(material, setup, tol)
         return res.sigma_d, res.quad_error_estimate
     except QuadratureError as exc:
-        der = derive_bulk(material)
-        omega_tau = setup.omega * der.tau
-        w = complex_thickness(material, setup)
+        w = complex_thickness(material, setup.d, setup.omega)
         phi_inv = phi_inverse_from_integral(w, setup.p, exc.value)
-        sigma = der.sigma_0 / complex(1.0, -omega_tau) * w * phi_inv
+        sigma = drude_conductivity(material, setup.omega) * w * phi_inv
         return sigma, 1.5 * (1.0 - setup.p) * exc.error_estimate / abs(w)
 
 
-def evaluate_point(
-    material: MaterialParams,
-    setup: FilmSetup,
-    swept_name: str,
-    swept_value: float,
-    tol: float = 1e-10,
-) -> SweepRow:
-    """Evaluate one grid point into a row.
+def run_sweep(spec: SweepSpec) -> list[SweepRow]:
+    """Evaluate the grid in order; deterministic for a given spec.
 
+    The Drude value, w, kd and (T, R, A) are array expressions over the
+    grid.  Points with p < 1 take sigma_d from one scalar evaluation per
+    distinct (d, omega, p), made in grid order and copied to every row
+    that shares it, so a theta sweep needs a single kernel integral.
     Coefficients are clamped to [0, 1] here, in the presentation layer
     only; the core routines never clamp.  A quadrature failure is
     recorded through a large quad_err value instead of aborting the run.
     """
-    sigma, quad_err = _conductivity_best_effort(material, setup, tol)
-    coeffs = tra_for_film(sigma, setup.d, setup.theta)
-    w = complex_thickness(material, setup)
-    return SweepRow(
-        swept_name=swept_name,
-        swept_value=swept_value,
-        T=_clamp01(coeffs.T),
-        R=_clamp01(coeffs.R),
-        A=_clamp01(coeffs.A),
-        re_sigma_d=sigma.real,
-        im_sigma_d=sigma.imag,
-        re_w=w.real,
-        im_w=w.imag,
-        kd=setup.omega * setup.d / C_LIGHT,
-        quad_err=quad_err,
+    m = spec.material
+    values = spec.grid.values()
+    grid = np.array(values)
+    d, theta, omega_frac, p = (
+        grid if name == spec.swept else np.full(grid.shape, value, dtype=float)
+        for name, value in (("d", spec.d), ("theta", spec.theta),
+                            ("omega", spec.omega_frac), ("p", spec.p))
     )
+    omega = omega_frac * m.omega_p
+    sigma = drude_conductivity(m, omega)
+    w = complex_thickness(m, d, omega)
+    quad_err = np.zeros(grid.shape)
 
+    diffuse = np.flatnonzero(p < 1.0)
+    if diffuse.size:
+        keys = list(zip(d[diffuse].tolist(), omega[diffuse].tolist(), p[diffuse].tolist()))
+        found = {}
+        for key, i in zip(keys, diffuse.tolist()):
+            if key not in found:
+                found[key] = _sigma_best_estimate(m, spec.setup_for(values[i]), spec.tol)
+        sigma[diffuse], quad_err[diffuse] = zip(*(found[key] for key in keys))
 
-def run_sweep(spec: SweepSpec) -> list[SweepRow]:
-    """Evaluate the grid in order; deterministic for a given spec."""
+    coeffs = tra_for_film(sigma, d, theta)
     swept_name = "omega_over_omega_p" if spec.swept == "omega" else spec.swept
-    return [
-        evaluate_point(spec.material, spec.setup_for(v), swept_name, v, spec.tol)
-        for v in spec.grid.values()
-    ]
+    columns = (
+        values,
+        *(np.clip(x, 0.0, 1.0).tolist() for x in (coeffs.T, coeffs.R, coeffs.A)),
+        sigma.real.tolist(), sigma.imag.tolist(), w.real.tolist(), w.imag.tolist(),
+        (omega * d / C_LIGHT).tolist(), quad_err.tolist(),
+    )
+    return [SweepRow(swept_name, *row) for row in zip(*columns)]
 
 
 #: sweep presets named after the bundled figure datasets

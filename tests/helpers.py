@@ -1,11 +1,24 @@
-"""Independent brute-force oracles used across the test suite.
+"""Independent oracles used across the test suite.
 
-These deliberately share no code with the package: composite Simpson on
-dense uniform grids, in two different variables, so an error in the
-adaptive quadrature or in the integrand substitution cannot cancel.
+The Simpson integrals deliberately share no code with the package:
+composite Simpson on dense uniform grids, in two different variables, so
+an error in the adaptive quadrature or in the integrand substitution
+cannot cancel.  ``reference_sweep`` is the per-point sweep loop that the
+array evaluation in ``metalfilm.sweep`` replaced; it keeps that loop's
+own formulas for w, kd and the best-estimate fallback.
 """
 
 import numpy as np
+
+from metalfilm import (
+    C_LIGHT,
+    QuadratureError,
+    SweepRow,
+    derive_bulk,
+    phi_inverse_from_integral,
+    sigma_d,
+    tra_for_film,
+)
 
 
 def simpson(y, h):
@@ -41,3 +54,33 @@ def fuchs_integral_simpson_t(w, p, panels=10**6, decay_lengths=40.0):
     f = (t**-3.0 - t**-5.0) * (1.0 - e) / (1.0 - p * e)
     tail = 0.5 / t_max**2 - 0.25 / t_max**4
     return simpson(f, (t_max - 1.0) / panels) + tail
+
+
+def _clamp01(x):
+    return 0.0 if x < 0.0 else 1.0 if x > 1.0 else x
+
+
+def reference_sweep(spec):
+    """Evaluate a SweepSpec one grid point at a time with the scalar routines."""
+    m = spec.material
+    der = derive_bulk(m)
+    swept_name = "omega_over_omega_p" if spec.swept == "omega" else spec.swept
+    rows = []
+    for v in spec.grid.values():
+        s = spec.setup_for(v)
+        w = (s.d / der.l) * complex(1.0, -s.omega * der.tau)
+        try:
+            res = sigma_d(m, s, spec.tol)
+            sigma, quad_err = res.sigma_d, res.quad_error_estimate
+        except QuadratureError as exc:
+            phi_inv = phi_inverse_from_integral(w, s.p, exc.value)
+            sigma = der.sigma_0 / complex(1.0, -s.omega * der.tau) * w * phi_inv
+            quad_err = 1.5 * (1.0 - s.p) * exc.error_estimate / abs(w)
+        c = tra_for_film(sigma, s.d, s.theta)
+        rows.append(
+            SweepRow(
+                swept_name, v, _clamp01(c.T), _clamp01(c.R), _clamp01(c.A),
+                sigma.real, sigma.imag, w.real, w.imag, s.omega * s.d / C_LIGHT, quad_err,
+            )
+        )
+    return rows

@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+import metalfilm.cli
 from metalfilm import GridSpec, SweepSpec, emit_csv, run_sweep, sodium_preset
 from metalfilm.cli import load_config, main
 from metalfilm.sweep import CSV_HEADER, VALIDATION_CSV_HEADER
@@ -102,6 +103,37 @@ class TestSweepCommand:
                 ]
             )
         assert info.value.code == 2
+
+
+_D_SWEEP = ["sweep", "--swept", "d", "--min", "1e-8", "--max", "1e-7", "--count", "3"]
+
+
+@pytest.mark.parametrize(
+    "argv, computes",
+    [
+        (["figure", "fig1", "--tol", "abc"], False),
+        (_D_SWEEP + ["--theta", "nan", "--omega-frac", "1e-2", "--p", "1.0"], False),
+        (_D_SWEEP + ["--theta", "0", "--omega-frac", "inf", "--p", "1.0"], False),
+        (_D_SWEEP + ["--theta", "0", "--omega-frac", "1e-2", "--p", "1.5"], False),
+        (_D_SWEEP + ["--theta", "0", "--omega-frac", "1e-2", "--p", "1.0"], True),
+    ],
+    ids=["figure-tol-abc", "theta-nan", "omega-frac-inf", "p-1.5", "out-missing-dir"],
+)
+def test_bad_input_is_usage_error(tmp_path, monkeypatch, capsys, argv, computes):
+    """Bad values and an unwritable --out exit with code 2, not a traceback.
+
+    Input errors are caught before any point is evaluated; the last case
+    has valid input and fails only when the CSV is written.
+    """
+    runs = []
+    monkeypatch.setattr(metalfilm.cli, "run_sweep", lambda spec: runs.append(spec) or run_sweep(spec))
+    out = tmp_path / "missing" / "x.csv" if computes else tmp_path / "x.csv"
+    with pytest.raises(SystemExit) as info:
+        main(argv + ["--out", str(out)])
+    assert info.value.code == 2
+    assert "error:" in capsys.readouterr().err
+    assert bool(runs) == computes
+    assert not out.exists()
 
 
 class TestConfigFile:

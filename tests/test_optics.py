@@ -170,3 +170,39 @@ class TestTraForFilm:
     def test_near_grazing_reflects(self):
         c = tra_for_film(SODIUM_SIGMA_FIG1, 1e-7, math.pi / 2 - 1e-6)
         assert c.R > 0.999
+
+
+class TestArrayInput:
+    """Arrays broadcast through the same formulas; scalars still give floats."""
+
+    def test_scalar_input_returns_python_floats(self):
+        c = tra_for_film(SODIUM_SIGMA_FIG1, 1e-7, 0.0)
+        assert all(type(x) is float for x in (c.T, c.R, c.A))
+        assert type(b_factor(SODIUM_SIGMA_FIG1, 1e-7, 0.0)) is complex
+
+    def test_elementwise_equals_scalar_calls(self):
+        rng = np.random.default_rng(11)
+        b = 10.0 ** rng.uniform(-6, 6, 200) * np.exp(1j * rng.uniform(-1.5, 1.5, 200))
+        c = tra_from_b(b)
+        for i, bi in enumerate(b):
+            one = tra_from_b(bi)
+            assert (c.T[i], c.R[i], c.A[i]) == (one.T, one.R, one.A)
+
+    def test_grazing_and_overflow_per_element(self):
+        theta = np.array([0.0, 0.7, math.pi / 2])
+        c = tra_for_film(SODIUM_SIGMA_FIG1, 1e-7, theta)
+        assert (c.T[2], c.R[2], c.A[2]) == (0.0, 1.0, 0.0)
+        assert c.T[1] == tra_for_film(SODIUM_SIGMA_FIG1, 1e-7, 0.7).T
+        big = tra_from_b(np.array([1.0 + 0j, 1e200 + 1e200j]))
+        assert (big.T[1], big.R[1], big.A[1]) == (0.0, 1.0, 0.0)
+        assert big.T[0] == pytest.approx(0.25, rel=1e-15)
+
+    def test_broadcast_over_thickness(self):
+        d = np.geomspace(1e-9, 1e-6, 7)
+        c = tra_for_film(SODIUM_SIGMA_FIG1, d, 0.0)
+        assert c.T.shape == (7,)
+        np.testing.assert_allclose(c.T + c.R + c.A, 1.0, atol=1e-12)
+
+    def test_one_passivity_violation_raises(self):
+        with pytest.raises(PassivityError):
+            tra_from_b(np.array([0.5 + 0.1j, -0.1 + 0.5j]))

@@ -201,6 +201,23 @@ class TestValidateThinFilm:
         assert row.d_over_delta > 0.0
         assert row.omega_over_omega_p == pytest.approx(1e-2, rel=1e-15)
 
+    def test_matches_per_setup_scalar_route(self):
+        """The array evaluation agrees with sigma_d and tra_for_film per setup."""
+        m = sodium_preset()
+        setups = default_validation_setups(m, d_count=9, omega_fracs=(1e-3, 1e-1), theta=0.4)
+        for s, row in zip(setups, validate_thin_film(m, setups)):
+            sig = drude(m, s.omega)
+            thin = tra_for_film(sig, s.d, s.theta)
+            exact = exact_tra(LocalSlabParams(sigma_local=sig, d=s.d, theta=s.theta, omega=s.omega))
+            assert abs(complex(row.re_sigma_d, row.im_sigma_d) - sig) <= 1e-15 * abs(sig)
+            assert row.kd == s.omega * s.d / C_LIGHT
+            assert row.quad_err == 0.0
+            for got, want in ((row.T, thin.T), (row.R, thin.R), (row.A, thin.A),
+                              (row.abs_dT, abs(thin.T - exact.T)),
+                              (row.abs_dR, abs(thin.R - exact.R)),
+                              (row.abs_dA, abs(thin.A - exact.A))):
+                assert abs(got - want) <= 2e-15
+
     def test_default_grid_shape(self):
         m = sodium_preset()
         setups = default_validation_setups(m, d_count=5, omega_fracs=(1e-2,))

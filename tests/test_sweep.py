@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 
+import metalfilm.conductivity
+import metalfilm.sweep
 from metalfilm import (
     GridSpec,
     SweepSpec,
@@ -12,6 +14,7 @@ from metalfilm import (
     sodium_preset,
 )
 from metalfilm.sweep import CSV_HEADER
+from helpers import reference_sweep
 
 
 def small_spec(**overrides):
@@ -148,6 +151,85 @@ class TestRunSweep:
             )
         )[0]
         assert failed.T == pytest.approx(good.T, abs=1e-8)
+
+
+def _degraded_spec():
+    """The unreachable-tolerance grid of test_quadrature_failure_recorded_not_raised."""
+    return SweepSpec(
+        swept="p",
+        grid=GridSpec(0.0, 0.5, 2),
+        material=sodium_preset(),
+        d=1e-7,
+        theta=0.0,
+        omega_frac=1.0,
+        tol=1e-18,
+    )
+
+
+_REFERENCE_SPECS = {
+    **{f"{name}-{i}": spec for name in ("fig1", "fig2", "fig3", "fig4", "fig5")
+       for i, spec in enumerate(figure_preset(name))},
+    "degraded": _degraded_spec(),
+    "grazing-end": small_spec(grid=GridSpec(1.2, math.pi / 2, 41), p=1.0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_REFERENCE_SPECS))
+def test_array_sweep_matches_per_point_reference(name):
+    """The array evaluation reproduces the scalar per-point loop.
+
+    p < 1 conductivities and their error bounds are the scalar results
+    themselves, so they agree bit for bit; w and kd use the same
+    operations and agree exactly; the p = 1 Drude value and (T, R, A)
+    come from numpy's array arithmetic and agree to rounding.
+    """
+    spec = _REFERENCE_SPECS[name]
+    got, ref = run_sweep(spec), reference_sweep(spec)
+    assert len(got) == len(ref)
+    for g, r in zip(got, ref):
+        assert (g.swept_name, g.swept_value) == (r.swept_name, r.swept_value)
+        assert (g.re_w, g.im_w, g.kd) == (r.re_w, r.im_w, r.kd)
+        if spec.setup_for(g.swept_value).p < 1.0:
+            assert (g.re_sigma_d, g.im_sigma_d, g.quad_err) == (r.re_sigma_d, r.im_sigma_d, r.quad_err)
+        else:
+            assert g.quad_err == r.quad_err == 0.0
+            assert abs(complex(g.re_sigma_d, g.im_sigma_d) - complex(r.re_sigma_d, r.im_sigma_d)) \
+                <= 1e-15 * abs(complex(r.re_sigma_d, r.im_sigma_d))
+        for x, y in ((g.T, r.T), (g.R, r.R), (g.A, r.A)):
+            assert abs(x - y) <= 2e-15
+
+
+class TestWorkCount:
+    """Deterministic work per sweep: the guard that keeps the hot path array-shaped."""
+
+    @staticmethod
+    def _count(monkeypatch, module, name):
+        calls = []
+        original = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            calls.append(name)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+        return calls
+
+    def test_theta_sweep_needs_one_integral(self, monkeypatch):
+        integrals = self._count(monkeypatch, metalfilm.conductivity, "integrate_complex")
+        optics = self._count(monkeypatch, metalfilm.sweep, "tra_for_film")
+        rows = run_sweep(small_spec(grid=GridSpec(0.0, math.pi / 2, 2000)))
+        assert len(rows) == 2000
+        assert len(integrals) == 1
+        assert len(optics) == 1
+
+    def test_specular_sweep_needs_no_integral(self, monkeypatch):
+        integrals = self._count(monkeypatch, metalfilm.conductivity, "integrate_complex")
+        optics = self._count(monkeypatch, metalfilm.sweep, "tra_for_film")
+        spec = small_spec(swept="d", grid=GridSpec(1e-8, 1e-6, 1000, scale="log"),
+                          d=None, theta=0.2, p=1.0)
+        assert len(run_sweep(spec)) == 1000
+        assert integrals == []
+        assert len(optics) == 1
 
 
 class TestFigurePresets:
