@@ -143,18 +143,9 @@ def _cmd_sweep(args, parser) -> int:
     _require(args, parser, "swept", "min", "max", "count", "out")
     material = _material_from_args(args, parser)
     fixed = {
-        "d": None if args.d is None else float(args.d),
-        "theta": None if args.theta is None else float(args.theta),
-        "omega_frac": None if args.omega_frac is None else float(args.omega_frac),
-        "p": None if args.p is None else float(args.p),
+        name: None if getattr(args, name) is None else float(getattr(args, name))
+        for name in ("d", "theta", "omega_frac", "p")
     }
-    swept_key = "omega_frac" if args.swept == "omega" else args.swept
-    if fixed.get(swept_key) is not None:
-        parser.error(
-            f"--{swept_key.replace('_', '-')} is the swept parameter; "
-            "drop the fixed value"
-        )
-    fixed.pop(swept_key, None)
     spec = SweepSpec(
         swept=args.swept,
         grid=GridSpec(

@@ -49,6 +49,7 @@ class ImpedancePair:
 
     z1 belongs to the antisymmetric-electric-field configuration and
     vanishes in the thin-film limit; z2 to the symmetric one.
+    Complex numbers for a single film; numpy arrays when the inputs were arrays.
     """
 
     z1: complex
@@ -169,25 +170,27 @@ def thin_impedances(
     return ImpedancePair(z1=z1, z2=2.0 * C_LIGHT / denom)
 
 
-def _p_factor(z: complex, cos_theta: float) -> complex:
-    if not (math.isfinite(z.real) and math.isfinite(z.imag)):
-        return 1.0 + 0j  # open-circuit limit of (Z*cos - 1)/(Z*cos + 1)
-    zc = z * cos_theta
-    return (zc - 1.0) / (zc + 1.0)
+def _p_factor(z: np.ndarray, cos_theta) -> np.ndarray:
+    """(Z*cos - 1)/(Z*cos + 1), with the open-circuit limit 1 where Z is not finite."""
+    finite = np.isfinite(z)
+    zc = np.where(finite, z, 0.0) * cos_theta
+    return np.where(finite, (zc - 1.0) / (zc + 1.0), 1.0)
 
 
-def tra_from_impedances(z: ImpedancePair, theta: float) -> OpticalCoefficients:
+def tra_from_impedances(z: ImpedancePair, theta) -> OpticalCoefficients:
     """Coefficients from an impedance pair via the reflection factors.
 
-    T and R are invariant under swapping z1 and z2; A closes the energy
-    balance as 1 - T - R.
+    The impedances and theta may be scalars or numpy arrays (broadcast);
+    the coefficients are returned as by :func:`tra_from_b`.  T and R are
+    invariant under swapping z1 and z2; A closes the energy balance as
+    1 - T - R.
     """
-    ct = math.cos(theta)
-    p1 = _p_factor(complex(z.z1), ct)
-    p2 = _p_factor(complex(z.z2), ct)
-    T = 0.25 * abs(p1 - p2) ** 2
-    R = 0.25 * abs(p1 + p2) ** 2
-    return OpticalCoefficients(T=T, R=R, A=1.0 - T - R)
+    ct = np.cos(np.asarray(theta, dtype=float))
+    p1 = _p_factor(np.asarray(z.z1, dtype=complex), ct)
+    p2 = _p_factor(np.asarray(z.z2, dtype=complex), ct)
+    T = 0.25 * np.abs(p1 - p2) ** 2
+    R = 0.25 * np.abs(p1 + p2) ** 2
+    return _coefficients(T, R, 1.0 - T - R)
 
 
 def tra_for_film(sigma, d, theta) -> OpticalCoefficients:

@@ -19,7 +19,6 @@ local-slab counterpart.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from typing import Iterable
@@ -28,7 +27,7 @@ import numpy as np
 
 from .conductivity import complex_thickness, drude_conductivity
 from .materials import C_LIGHT, FilmSetup, MaterialParams
-from .optics import ImpedancePair, OpticalCoefficients, tra_for_film, tra_from_impedances
+from .optics import ImpedancePair, OpticalCoefficients, _first, tra_for_film, tra_from_impedances
 
 __all__ = [
     "SlabResonanceError",
@@ -59,7 +58,9 @@ class LocalSlabParams:
 
     sigma_local is the local (Drude) conductivity in 1/s with
     Re(sigma_local) >= 0; d, theta, omega as in FilmSetup, except that
-    omega must be strictly positive (no incident wave otherwise).
+    omega must be strictly positive (no incident wave otherwise).  The
+    fields may be numpy arrays (broadcast), describing one slab per
+    element; the functions below then return arrays.
     """
 
     sigma_local: complex
@@ -68,43 +69,50 @@ class LocalSlabParams:
     omega: float
 
     def __post_init__(self) -> None:
-        if complex(self.sigma_local).real < 0.0:
-            raise ValueError(f"Re(sigma_local) must be >= 0, got {self.sigma_local!r}")
-        if not self.d > 0.0:
-            raise ValueError(f"d must be > 0, got {self.d!r}")
-        if not 0.0 <= self.theta <= math.pi / 2:
-            raise ValueError(f"theta must lie in [0, pi/2], got {self.theta!r}")
-        if not self.omega > 0.0:
-            raise ValueError(f"omega must be > 0, got {self.omega!r}")
+        sigma = np.asarray(self.sigma_local, dtype=complex)
+        d, theta, omega = (np.asarray(x, dtype=float) for x in (self.d, self.theta, self.omega))
+        for bad, rule, x in (
+            (sigma.real < 0.0, "Re(sigma_local) must be >= 0", sigma),
+            (~(d > 0.0), "d must be > 0", d),
+            (~((0.0 <= theta) & (theta <= math.pi / 2)), "theta must lie in [0, pi/2]", theta),
+            (~(omega > 0.0), "omega must be > 0", omega),
+        ):
+            if np.count_nonzero(bad):
+                raise ValueError(f"{rule}, got {_first(x, bad)!r}")
 
 
-def slab_wavevector(lp: LocalSlabParams) -> complex:
-    """Internal wavevector q, 1/cm.
+def slab_wavevector(lp: LocalSlabParams):
+    """Internal wavevector q, 1/cm (a complex, or an array for array fields).
 
     Branch: Re(q) >= 0, and Im(q) >= 0 when Re(q) = 0.  For passive
     sigma the squared value lies in the closed upper half-plane, where
     the principal square root satisfies both conditions.
     """
-    k = lp.omega / C_LIGHT
-    q2 = k**2 * math.cos(lp.theta) ** 2 + 4j * math.pi * lp.omega * complex(lp.sigma_local) / C_LIGHT**2
-    q2 = complex(q2.real, q2.imag + 0.0)  # normalize -0.0 imaginary part
-    q = cmath.sqrt(q2)
-    if q.real < 0.0 or (q.real == 0.0 and q.imag < 0.0):
-        q = -q
-    return q
+    omega = np.asarray(lp.omega, dtype=float)
+    k = omega / C_LIGHT
+    q2 = k**2 * np.cos(lp.theta) ** 2 + 4j * math.pi * omega * np.asarray(lp.sigma_local) / C_LIGHT**2
+    q = np.sqrt(q2 + 0.0)  # adding 0.0 normalizes a -0.0 imaginary part
+    q = np.where((q.real < 0.0) | ((q.real == 0.0) & (q.imag < 0.0)), -q, q)
+    return q if q.ndim else complex(q)
 
 
-def _impedances_from_q(q: complex, k: float, d: float) -> ImpedancePair:
-    x = q * d / 2.0
+def _impedances_from_q(q, k, d) -> ImpedancePair:
+    x = np.asarray(q, dtype=complex) * d / 2.0
     # Resonances require x near the real axis; for |Im x| >= 30 the
     # trig magnitudes are >= sinh(30) and cosh/sinh would overflow anyway.
-    if abs(x.imag) < 30.0:
-        if abs(cmath.cos(x)) < RESONANCE_THRESHOLD:
-            raise SlabResonanceError(f"tan pole at q*d/2 = {x!r}", x)
-        if abs(cmath.sin(x)) < RESONANCE_THRESHOLD:
-            raise SlabResonanceError(f"cot pole at q*d/2 = {x!r}", x)
-    t = cmath.tan(x)
-    return ImpedancePair(z1=-(1j * k / q) * t, z2=(1j * k / q) / t)
+    near = np.abs(x.imag) < 30.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        tan_pole = near & (np.abs(np.cos(x)) < RESONANCE_THRESHOLD)
+        cot_pole = near & (np.abs(np.sin(x)) < RESONANCE_THRESHOLD)
+    pole = tan_pole | cot_pole
+    if np.count_nonzero(pole):
+        i = np.flatnonzero(pole)[0]
+        at = x.flat[i].item()
+        raise SlabResonanceError(f"{'tan' if tan_pole.flat[i] else 'cot'} pole at q*d/2 = {at!r}", at)
+    t = np.tan(x)
+    ik_q = 1j * k / q
+    z1, z2 = -ik_q * t, ik_q / t
+    return ImpedancePair(z1=z1, z2=z2) if x.ndim else ImpedancePair(z1=complex(z1), z2=complex(z2))
 
 
 def exact_impedances(lp: LocalSlabParams) -> ImpedancePair:
@@ -112,7 +120,8 @@ def exact_impedances(lp: LocalSlabParams) -> ImpedancePair:
 
     Both impedances are odd in q, so the branch choice of
     :func:`slab_wavevector` does not affect them.  Raises
-    SlabResonanceError at a tan/cot pole, reporting the location.
+    SlabResonanceError at a tan/cot pole, reporting the location of the
+    first slab that sits on one.
     """
     q = slab_wavevector(lp)
     return _impedances_from_q(q, lp.omega / C_LIGHT, lp.d)
@@ -149,51 +158,31 @@ def validate_thin_film(m: MaterialParams, setups: Iterable[FilmSetup]) -> list[V
     """Compare the thin-film coefficients with the exact slab solution.
 
     Every setup must have p = 1 (only specular surfaces admit a local
-    oracle) and omega > 0.  The conductivity is then the bulk Drude value,
-    so the thin-film side is evaluated as arrays over all setups; the
-    exact side is solved per setup.  Deviations are reported as data, not
-    failures: the report is what documents where the thin-film model
-    breaks down.  d_over_delta is d*Im(q), the thickness in units of the
-    actual field penetration depth at that frequency.
+    oracle) and omega > 0; both are checked before anything is computed.
+    The conductivity is then the bulk Drude value, and both sides are
+    evaluated as arrays over all setups.  Deviations are reported as
+    data, not failures: the report is what documents where the thin-film
+    model breaks down.  d_over_delta is d*Im(q), the thickness in units
+    of the actual field penetration depth at that frequency.
     """
-    setups = list(setups)
-    for s in setups:
-        if s.p != 1.0:
-            raise ValueError(f"oracle comparison requires p = 1, got p={s.p!r}")
-    d, theta, omega = (np.array([getattr(s, f) for s in setups], dtype=float)
-                       for f in ("d", "theta", "omega"))
+    d, theta, omega, p = np.array(
+        [(s.d, s.theta, s.omega, s.p) for s in setups], dtype=float
+    ).reshape(-1, 4).T
+    bad = p != 1.0
+    if np.count_nonzero(bad):
+        raise ValueError(f"oracle comparison requires p = 1, got p={_first(p, bad)!r}")
     sigma = drude_conductivity(m, omega)
+    lp = LocalSlabParams(sigma_local=sigma, d=d, theta=theta, omega=omega)
     w = complex_thickness(m, d, omega)
     thin = tra_for_film(sigma, d, theta)
-    rows = []
-    for s, sig, T, R, A, w_i, kd in zip(
-        setups, sigma.tolist(), thin.T.tolist(), thin.R.tolist(), thin.A.tolist(),
-        w.tolist(), (omega * d / C_LIGHT).tolist(),
-    ):
-        lp = LocalSlabParams(sigma_local=sig, d=s.d, theta=s.theta, omega=s.omega)
-        exact = exact_tra(lp)
-        q = slab_wavevector(lp)
-        rows.append(
-            ValidationRow(
-                d=s.d,
-                theta=s.theta,
-                omega_over_omega_p=s.omega / m.omega_p,
-                T=T,
-                R=R,
-                A=A,
-                re_sigma_d=sig.real,
-                im_sigma_d=sig.imag,
-                re_w=w_i.real,
-                im_w=w_i.imag,
-                kd=kd,
-                quad_err=0.0,
-                abs_dT=abs(T - exact.T),
-                abs_dR=abs(R - exact.R),
-                abs_dA=abs(A - exact.A),
-                d_over_delta=s.d * q.imag,
-            )
-        )
-    return rows
+    exact = exact_tra(lp)
+    columns = (
+        d, theta, omega / m.omega_p, thin.T, thin.R, thin.A, sigma.real, sigma.imag,
+        w.real, w.imag, omega * d / C_LIGHT, np.zeros(d.shape),
+        np.abs(thin.T - exact.T), np.abs(thin.R - exact.R), np.abs(thin.A - exact.A),
+        d * slab_wavevector(lp).imag,
+    )
+    return [ValidationRow(*row) for row in zip(*(c.tolist() for c in columns))]
 
 
 def default_validation_setups(

@@ -12,8 +12,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import attrgetter
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -47,6 +48,14 @@ VALIDATION_CSV_HEADER = (
     "swept_name,swept_value,T,R,A,re_sigma_d,im_sigma_d,re_w,im_w,kd,quad_err,"
     "omega_over_omega_p,abs_dT,abs_dR,abs_dA,d_over_delta"
 )
+
+# One row is one ``%`` formatting of one attribute fetch; "%.17e" gives the
+# same digits as format(v, ".17e").  The columns after the swept name are
+# the row fields of the same name; a validation row's swept value is d.
+_CSV_FORMAT = "%s" + ",%.17e" * CSV_HEADER.count(",")
+_CSV_FIELDS = attrgetter(*CSV_HEADER.split(","))
+_VALIDATION_FORMAT = "d" + ",%.17e" * VALIDATION_CSV_HEADER.count(",")
+_VALIDATION_FIELDS = attrgetter("d", *VALIDATION_CSV_HEADER.split(",")[2:])
 
 
 @dataclass(frozen=True)
@@ -272,40 +281,23 @@ def figure_preset(name: str) -> list[SweepSpec]:
     raise ValueError(f"unknown figure preset {name!r}; choose from {FIGURE_NAMES}")
 
 
-def _write_lines(destination, lines: Sequence[str]) -> None:
+def _write_csv(rows: Iterable, destination, header: str, fmt: str, fields) -> None:
+    """Header plus ``fmt % fields(row)`` for each row."""
+    rows = list(rows)
+    if not rows:
+        raise ValueError("no rows to emit")
     path = Path(destination)
     try:
-        path.write_text("\n".join(lines) + "\n")
+        path.write_text("\n".join([header, *(fmt % fields(r) for r in rows)]) + "\n")
     except OSError as exc:
         raise OSError(f"failed to write CSV to {path}: {exc}") from exc
 
 
 def emit_csv(rows: Iterable[SweepRow], destination) -> None:
     """Write header plus rows, numbers in full-precision scientific notation."""
-    rows = list(rows)
-    if not rows:
-        raise ValueError("no rows to emit")
-    lines = [CSV_HEADER]
-    for r in rows:
-        values = (
-            r.swept_value, r.T, r.R, r.A, r.re_sigma_d, r.im_sigma_d,
-            r.re_w, r.im_w, r.kd, r.quad_err,
-        )
-        lines.append(",".join([r.swept_name] + [f"{v:.17e}" for v in values]))
-    _write_lines(destination, lines)
+    _write_csv(rows, destination, CSV_HEADER, _CSV_FORMAT, _CSV_FIELDS)
 
 
 def emit_validation_csv(rows: Iterable[ValidationRow], destination) -> None:
     """Validation report: the sweep schema plus the deviation columns."""
-    rows = list(rows)
-    if not rows:
-        raise ValueError("no rows to emit")
-    lines = [VALIDATION_CSV_HEADER]
-    for r in rows:
-        values = (
-            r.d, r.T, r.R, r.A, r.re_sigma_d, r.im_sigma_d, r.re_w, r.im_w,
-            r.kd, r.quad_err, r.omega_over_omega_p, r.abs_dT, r.abs_dR,
-            r.abs_dA, r.d_over_delta,
-        )
-        lines.append(",".join(["d"] + [f"{v:.17e}" for v in values]))
-    _write_lines(destination, lines)
+    _write_csv(rows, destination, VALIDATION_CSV_HEADER, _VALIDATION_FORMAT, _VALIDATION_FIELDS)

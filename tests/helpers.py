@@ -6,19 +6,32 @@ an error in the adaptive quadrature or in the integrand substitution
 cannot cancel.  ``reference_sweep`` is the per-point sweep loop that the
 array evaluation in ``metalfilm.sweep`` replaced; it keeps that loop's
 own formulas for w, kd and the best-estimate fallback.
+``reference_validation`` solves the exact slab one setup at a time with
+``cmath``, as the package did before its slab code became array-shaped,
+and ``reference_emit_csv``/``reference_emit_validation_csv`` are the
+per-value f-string emitters the ``%`` formatting replaced.
 """
+
+import cmath
+import math
+from pathlib import Path
 
 import numpy as np
 
 from metalfilm import (
     C_LIGHT,
     QuadratureError,
+    SlabResonanceError,
     SweepRow,
+    ValidationRow,
+    complex_thickness,
     derive_bulk,
     phi_inverse_from_integral,
     sigma_d,
     tra_for_film,
 )
+from metalfilm.conductivity import drude_conductivity
+from metalfilm.sweep import CSV_HEADER, VALIDATION_CSV_HEADER
 
 
 def simpson(y, h):
@@ -84,3 +97,95 @@ def reference_sweep(spec):
             )
         )
     return rows
+
+
+def _slab_wavevector(sigma, d, theta, omega):
+    k = omega / C_LIGHT
+    q2 = k**2 * math.cos(theta) ** 2 + 4j * math.pi * omega * complex(sigma) / C_LIGHT**2
+    q2 = complex(q2.real, q2.imag + 0.0)
+    q = cmath.sqrt(q2)
+    if q.real < 0.0 or (q.real == 0.0 and q.imag < 0.0):
+        q = -q
+    return q
+
+
+def _p_factor(z, cos_theta):
+    if not (math.isfinite(z.real) and math.isfinite(z.imag)):
+        return 1.0 + 0j
+    zc = z * cos_theta
+    return (zc - 1.0) / (zc + 1.0)
+
+
+def _slab_tra(q, d, theta, omega):
+    """(T, R, A) of one uniform slab from z1 = -(ik/q)tan(qd/2), z2 = (ik/q)cot(qd/2)."""
+    k = omega / C_LIGHT
+    x = q * d / 2.0
+    if abs(x.imag) < 30.0:
+        if abs(cmath.cos(x)) < 1e-12:
+            raise SlabResonanceError(f"tan pole at q*d/2 = {x!r}", x)
+        if abs(cmath.sin(x)) < 1e-12:
+            raise SlabResonanceError(f"cot pole at q*d/2 = {x!r}", x)
+    t = cmath.tan(x)
+    ct = math.cos(theta)
+    p1 = _p_factor(-(1j * k / q) * t, ct)
+    p2 = _p_factor((1j * k / q) / t, ct)
+    T = 0.25 * abs(p1 - p2) ** 2
+    R = 0.25 * abs(p1 + p2) ** 2
+    return T, R, 1.0 - T - R
+
+
+def reference_validation(m, setups):
+    """The validation report with the exact slab solved per setup in cmath.
+
+    The thin-film side is the package's array evaluation, as in
+    ``metalfilm.validate_thin_film``, so its columns can be compared bit
+    for bit; only the slab side is independent.
+    """
+    setups = list(setups)
+    d, theta, omega = (np.array([getattr(s, f) for s in setups], dtype=float)
+                       for f in ("d", "theta", "omega"))
+    sigma = drude_conductivity(m, omega)
+    w = complex_thickness(m, d, omega)
+    thin = tra_for_film(sigma, d, theta)
+    rows = []
+    for s, sig, T, R, A, w_i, kd in zip(
+        setups, sigma.tolist(), thin.T.tolist(), thin.R.tolist(), thin.A.tolist(),
+        w.tolist(), (omega * d / C_LIGHT).tolist(),
+    ):
+        q = _slab_wavevector(sig, s.d, s.theta, s.omega)
+        eT, eR, eA = _slab_tra(q, s.d, s.theta, s.omega)
+        rows.append(ValidationRow(
+            d=s.d, theta=s.theta, omega_over_omega_p=s.omega / m.omega_p,
+            T=T, R=R, A=A, re_sigma_d=sig.real, im_sigma_d=sig.imag,
+            re_w=w_i.real, im_w=w_i.imag, kd=kd, quad_err=0.0,
+            abs_dT=abs(T - eT), abs_dR=abs(R - eR), abs_dA=abs(A - eA),
+            d_over_delta=s.d * q.imag,
+        ))
+    return rows
+
+
+def _write_lines(destination, lines):
+    Path(destination).write_text("\n".join(lines) + "\n")
+
+
+def reference_emit_csv(rows, destination):
+    lines = [CSV_HEADER]
+    for r in rows:
+        values = (
+            r.swept_value, r.T, r.R, r.A, r.re_sigma_d, r.im_sigma_d,
+            r.re_w, r.im_w, r.kd, r.quad_err,
+        )
+        lines.append(",".join([r.swept_name] + [f"{v:.17e}" for v in values]))
+    _write_lines(destination, lines)
+
+
+def reference_emit_validation_csv(rows, destination):
+    lines = [VALIDATION_CSV_HEADER]
+    for r in rows:
+        values = (
+            r.d, r.T, r.R, r.A, r.re_sigma_d, r.im_sigma_d, r.re_w, r.im_w,
+            r.kd, r.quad_err, r.omega_over_omega_p, r.abs_dT, r.abs_dR,
+            r.abs_dA, r.d_over_delta,
+        )
+        lines.append(",".join(["d"] + [f"{v:.17e}" for v in values]))
+    _write_lines(destination, lines)

@@ -3,6 +3,7 @@ import math
 import pytest
 
 import metalfilm.cli
+import metalfilm.slab
 from metalfilm import GridSpec, SweepSpec, emit_csv, run_sweep, sodium_preset
 from metalfilm.cli import load_config, main
 from metalfilm.sweep import CSV_HEADER, VALIDATION_CSV_HEADER
@@ -206,3 +207,14 @@ class TestValidateCommand:
         assert first[0] == "d"
         # deep thin limit: all three deviations tiny
         assert all(abs(float(x)) < 1e-4 for x in first[12:15])
+
+    def test_zero_frequency_is_usage_error(self, tmp_path, monkeypatch, capsys):
+        """omega = 0 has no exact-slab solution: exit 2 before anything is computed."""
+        calls = []
+        monkeypatch.setattr(metalfilm.slab, "tra_for_film", lambda *a: calls.append(a))
+        out = tmp_path / "report.csv"
+        with pytest.raises(SystemExit) as info:
+            main(["validate", "--out", str(out), "--omega-fracs", "0,1e-2"])
+        assert info.value.code == 2
+        assert "omega must be > 0" in capsys.readouterr().err
+        assert calls == [] and not out.exists()

@@ -3,10 +3,12 @@ import math
 import numpy as np
 import pytest
 
+import metalfilm.slab
 from metalfilm import (
     C_LIGHT,
     FilmSetup,
     LocalSlabParams,
+    MaterialParams,
     SlabResonanceError,
     derive_bulk,
     exact_impedances,
@@ -18,6 +20,7 @@ from metalfilm import (
     validate_thin_film,
 )
 from metalfilm.slab import _impedances_from_q, default_validation_setups
+from helpers import reference_validation
 
 
 def drude(m, omega):
@@ -104,6 +107,54 @@ class TestExactImpedances:
                 LocalSlabParams(sigma_local=0j, d=d, theta=0.0, omega=omega)
             )
         assert info.value.qd_half == pytest.approx(math.pi, rel=1e-12)
+
+    def test_array_reports_first_pole(self):
+        """Among many slabs, the first one on a pole is the one reported.
+
+        Element 1 is a lossless slab with q*d/2 = pi/2 (a tan pole);
+        element 2, a cot pole further on, is not the one named.
+        """
+        m = sodium_preset()
+        omega = 3e14
+        k = omega / C_LIGHT
+        lp = LocalSlabParams(
+            sigma_local=np.array([drude(m, omega), 0j, 0j, drude(m, omega)]),
+            d=np.array([1e-7, math.pi / k, 2.0 * math.pi / k, 1e-6]),
+            theta=0.0,
+            omega=omega,
+        )
+        with pytest.raises(SlabResonanceError, match="^tan pole") as info:
+            exact_tra(lp)
+        assert info.value.qd_half == pytest.approx(math.pi / 2, rel=1e-12)
+
+    def test_array_elements_match_scalar_calls(self):
+        """The array route gives each element its scalar result, to rounding.
+
+        Both run the same numpy expressions; numpy's vector loops may round
+        the last bit differently from a single-element call.
+        """
+        m = sodium_preset()
+        omega = np.array([1e-3, 1e-2, 1e-1, 0.3]) * m.omega_p
+        sigma = np.array([drude(m, o) for o in omega])
+        d = np.array([1e-9, 1e-7, 1e-5, 1e-3])
+        theta = np.array([0.0, 0.4, 1.2, math.pi / 2])
+        arrays = LocalSlabParams(sigma_local=sigma, d=d, theta=theta, omega=omega)
+        q, z, c = slab_wavevector(arrays), exact_impedances(arrays), exact_tra(arrays)
+        for i in range(4):
+            lp = LocalSlabParams(sigma_local=complex(sigma[i]), d=float(d[i]),
+                                 theta=float(theta[i]), omega=float(omega[i]))
+            zi, ci = exact_impedances(lp), exact_tra(lp)
+            assert isinstance(zi.z1, complex) and isinstance(ci.T, float)
+            assert abs(slab_wavevector(lp) - q[i]) <= 1e-15 * abs(q[i])
+            assert abs(zi.z1 - z.z1[i]) <= 1e-15 * abs(z.z1[i])
+            assert abs(zi.z2 - z.z2[i]) <= 1e-15 * abs(z.z2[i])
+            for got, want in ((ci.T, c.T[i]), (ci.R, c.R[i]), (ci.A, c.A[i])):
+                assert abs(got - want) <= 2e-15
+
+    def test_array_validation_names_first_bad_element(self):
+        with pytest.raises(ValueError, match=r"omega must be > 0, got 0\.0"):
+            LocalSlabParams(sigma_local=np.ones(3), d=1e-6, theta=0.0,
+                            omega=np.array([1e14, 0.0, -1.0]))
 
 
 class TestExactTra:
@@ -225,3 +276,59 @@ class TestValidateThinFilm:
         assert all(s.p == 1.0 for s in setups)
         assert setups[0].d == pytest.approx(1e-9)
         assert setups[-1].d == pytest.approx(1e-4)
+
+
+_SODIUM = sodium_preset()
+_EXPLICIT = MaterialParams(omega_p=1.37e16, v_f=1.4e8, nu=4.1e13)
+_REFERENCE_CASES = {
+    "default": (_SODIUM, default_validation_setups(_SODIUM)),
+    **{f"theta-{theta:.4g}": (_SODIUM, default_validation_setups(_SODIUM, d_count=15, theta=theta))
+       for theta in (0.0, 0.4, 1.2, math.pi / 2)},
+    "explicit-material": (_EXPLICIT, default_validation_setups(
+        _EXPLICIT, d_count=15, omega_fracs=(1e-3, 3e-2, 0.5))),
+    "thick": (_SODIUM, default_validation_setups(
+        _SODIUM, d_min=1e-5, d_max=1e-1, d_count=15, omega_fracs=(1e-3, 1e-1, 0.5), theta=0.7)),
+}
+
+_THIN_COLUMNS = ("d", "theta", "omega_over_omega_p", "T", "R", "A", "re_sigma_d",
+                 "im_sigma_d", "re_w", "im_w", "kd", "quad_err")
+
+
+@pytest.mark.parametrize("name", sorted(_REFERENCE_CASES))
+def test_validation_matches_cmath_reference(name):
+    """The array slab reproduces the per-setup cmath solution.
+
+    The thin-film columns come from the same array evaluation and agree
+    bit for bit; the deviations differ only by the rounding of numpy's
+    complex functions against cmath's.
+    """
+    m, setups = _REFERENCE_CASES[name]
+    got, ref = validate_thin_film(m, setups), reference_validation(m, setups)
+    assert len(got) == len(ref) == len(setups)
+    for g, r in zip(got, ref):
+        assert [getattr(g, c) for c in _THIN_COLUMNS] == [getattr(r, c) for c in _THIN_COLUMNS]
+        for c in ("abs_dT", "abs_dR", "abs_dA"):
+            assert abs(getattr(g, c) - getattr(r, c)) <= 2e-15
+        assert abs(g.d_over_delta - r.d_over_delta) <= 1e-14 * abs(r.d_over_delta)
+    if name == "thick":
+        # |Im(q*d/2)| = d_over_delta/2 past the resonance-test cut-off
+        assert max(r.d_over_delta for r in ref) / 2 >= 30.0
+
+
+class TestValidationWorkCount:
+    """Deterministic work per report: the guard that keeps the slab array-shaped."""
+
+    def test_one_array_pass(self, monkeypatch):
+        calls = []
+        for name in ("tra_for_film", "exact_tra", "_impedances_from_q"):
+            original = getattr(metalfilm.slab, name)
+            monkeypatch.setattr(
+                metalfilm.slab, name,
+                lambda *a, _f=original, _n=name: calls.append(_n) or _f(*a),
+            )
+        m = sodium_preset()
+        setups = default_validation_setups(m, d_count=250, omega_fracs=(1e-3, 1e-2, 1e-1, 0.3))
+        assert len(validate_thin_film(m, setups)) == 1000
+        assert calls.count("tra_for_film") == 1
+        assert calls.count("exact_tra") == 1
+        assert calls.count("_impedances_from_q") <= 1

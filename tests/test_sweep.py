@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -7,14 +8,19 @@ import metalfilm.conductivity
 import metalfilm.sweep
 from metalfilm import (
     GridSpec,
+    SweepRow,
     SweepSpec,
+    ValidationRow,
     emit_csv,
+    emit_validation_csv,
     figure_preset,
     run_sweep,
     sodium_preset,
+    validate_thin_film,
 )
+from metalfilm.slab import default_validation_setups
 from metalfilm.sweep import CSV_HEADER
-from helpers import reference_sweep
+from helpers import reference_emit_csv, reference_emit_validation_csv, reference_sweep
 
 
 def small_spec(**overrides):
@@ -291,6 +297,52 @@ class TestEmitCsv:
         missing = tmp_path / "no" / "such" / "dir" / "x.csv"
         with pytest.raises(OSError, match="x.csv"):
             emit_csv(rows, missing)
+
+
+#: edge values for the formatting: signed zero, subnormals, the largest
+#: double, non-terminating decimals and negatives; the emitted digits must
+#: not depend on how the row is formatted (non-finite values included)
+_EDGE_VALUES = (0.0, -0.0, 5e-324, 1e-320, 1.7976931348623157e308, 0.1, 1.0,
+                -0.1, -1.0, -5e-324, -1.7976931348623157e308, 1 / 3, -2 / 3, 123456.789,
+                math.inf, -math.inf, math.nan)
+
+
+def _edge_rows(row_type, lead):
+    n = len(dataclasses.fields(row_type)) - len(lead)
+    return [row_type(*lead, *(_EDGE_VALUES[(i + j) % len(_EDGE_VALUES)] for j in range(n)))
+            for i in range(len(_EDGE_VALUES))]
+
+
+def _same_bytes(tmp_path, emit, reference, rows):
+    got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+    emit(rows, got)
+    reference(rows, want)
+    return got.read_bytes() == want.read_bytes()
+
+
+class TestEmitterBytes:
+    """The one-format-string emitters write exactly the per-value f-string bytes."""
+
+    @pytest.mark.parametrize("name", ["fig1", "fig2", "fig3", "fig4", "fig5"])
+    def test_figure_presets(self, tmp_path, name):
+        for spec in figure_preset(name):
+            assert _same_bytes(tmp_path, emit_csv, reference_emit_csv, run_sweep(spec))
+
+    def test_default_validation_report(self, tmp_path):
+        m = sodium_preset()
+        rows = validate_thin_film(m, default_validation_setups(m))
+        assert _same_bytes(tmp_path, emit_validation_csv, reference_emit_validation_csv, rows)
+
+    def test_hand_made_rows(self, tmp_path):
+        sweep_rows = _edge_rows(SweepRow, ("theta",))
+        assert _same_bytes(tmp_path, emit_csv, reference_emit_csv, sweep_rows)
+        validation_rows = _edge_rows(ValidationRow, ())
+        assert _same_bytes(tmp_path, emit_validation_csv, reference_emit_validation_csv,
+                           validation_rows)
+        text = (tmp_path / "got.csv").read_text()
+        for token in ("-0.00000000000000000e+00", "4.94065645841246544e-324",
+                      "1.79769313486231571e+308", "1.00000000000000006e-01"):
+            assert token in text
 
 
 class TestFigureShapes:
