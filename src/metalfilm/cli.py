@@ -5,14 +5,15 @@ Subcommands:
   figure   bundled presets fig1..fig5 (fig4/fig5 write one file per thickness)
   validate thin-film vs exact-slab comparison report at p=1
 
-Flags override config-file values; config keys are the flag names without
-the leading dashes.
+Flags override config-file values; config keys are the exact flag names
+without the leading dashes.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from .materials import MaterialParams, sodium_preset
@@ -44,28 +45,15 @@ def load_config(path) -> dict[str, str]:
     return options
 
 
-def _merge_config(args: argparse.Namespace, parser: argparse.ArgumentParser) -> None:
-    """Fill unset flags from the config file (flags win)."""
-    if not getattr(args, "config", None):
-        return
-    try:
-        options = load_config(args.config)
-    except OSError as exc:
-        parser.error(f"cannot read config file: {exc}")
-    except ValueError as exc:
-        parser.error(str(exc))
-    for key, value in options.items():
-        dest = key.replace("-", "_")
-        if not hasattr(args, dest):
-            parser.error(f"unknown config key {key!r}")
-        if getattr(args, dest) is None:
-            setattr(args, dest, value)
-
-
-def _require(args, parser, *names):
-    for name in names:
-        if getattr(args, name.replace("-", "_")) is None:
-            parser.error(f"--{name} is required (flag or config)")
+def _config_options(argv) -> dict[str, str]:
+    """The options of the config file named by ``sweep --config``, if any."""
+    if argv[:1] != ["sweep"]:
+        return {}
+    # nargs="?" leaves a --config without a value to the full parser's error.
+    pre = argparse.ArgumentParser(add_help=False)
+    pre.add_argument("--config", nargs="?")
+    path = pre.parse_known_args(argv[1:])[0].config
+    return load_config(path) if path else {}
 
 
 def _material_from_args(args, parser) -> MaterialParams:
@@ -73,14 +61,8 @@ def _material_from_args(args, parser) -> MaterialParams:
     if any(v is not None for v in explicit):
         if not all(v is not None for v in explicit):
             parser.error("explicit material needs all of --omega-p, --v-f, --nu")
-        return MaterialParams(
-            omega_p=float(args.omega_p), v_f=float(args.v_f), nu=float(args.nu)
-        )
-    name = args.material or "sodium"
-    try:
-        return _MATERIAL_PRESETS[name]()
-    except KeyError:
-        parser.error(f"unknown material {name!r}; presets: {sorted(_MATERIAL_PRESETS)}")
+        return MaterialParams(omega_p=args.omega_p, v_f=args.v_f, nu=args.nu)
+    return _MATERIAL_PRESETS[args.material]()
 
 
 def _series_path(out: Path, label: str) -> Path:
@@ -88,10 +70,11 @@ def _series_path(out: Path, label: str) -> Path:
 
 
 def _add_material_flags(sub):
-    sub.add_argument("--material", help="material preset name (default: sodium)")
-    sub.add_argument("--omega-p", help="explicit plasma frequency, rad/s")
-    sub.add_argument("--v-f", help="explicit Fermi velocity, cm/s")
-    sub.add_argument("--nu", help="explicit collision frequency, 1/s")
+    sub.add_argument("--material", choices=tuple(_MATERIAL_PRESETS), default="sodium",
+                     help="material preset name (default: %(default)s)")
+    sub.add_argument("--omega-p", type=float, help="explicit plasma frequency, rad/s")
+    sub.add_argument("--v-f", type=float, help="explicit Fermi velocity, cm/s")
+    sub.add_argument("--nu", type=float, help="explicit collision frequency, 1/s")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -103,30 +86,34 @@ def build_parser() -> argparse.ArgumentParser:
 
     ps = sub.add_parser("sweep", help="run one parameter sweep and write CSV")
     ps.add_argument("--config", help="flat key=value config file; flags override")
-    ps.add_argument("--swept", choices=("theta", "d", "p", "omega"))
-    ps.add_argument("--min", help="grid lower bound (omega sweeps: fraction of omega_p)")
-    ps.add_argument("--max", help="grid upper bound")
-    ps.add_argument("--count", help="number of grid points (>= 2)")
-    ps.add_argument("--scale", choices=("linear", "log"), help="grid spacing (default linear)")
-    ps.add_argument("--d", help="fixed thickness, cm")
-    ps.add_argument("--theta", help="fixed incidence angle, rad")
-    ps.add_argument("--omega-frac", help="fixed frequency as a fraction of omega_p")
-    ps.add_argument("--p", help="fixed specularity in [0, 1]")
-    ps.add_argument("--tol", help="quadrature tolerance (default 1e-10)")
-    ps.add_argument("--out", help="output CSV path")
+    ps.add_argument("--swept", required=True, choices=("theta", "d", "p", "omega"))
+    ps.add_argument("--min", type=float, required=True,
+                    help="grid lower bound (omega sweeps: fraction of omega_p)")
+    ps.add_argument("--max", type=float, required=True, help="grid upper bound")
+    ps.add_argument("--count", type=int, required=True, help="number of grid points (>= 2)")
+    ps.add_argument("--scale", choices=("linear", "log"), default="linear",
+                    help="grid spacing (default %(default)s)")
+    ps.add_argument("--d", type=float, help="fixed thickness, cm")
+    ps.add_argument("--theta", type=float, help="fixed incidence angle, rad")
+    ps.add_argument("--omega-frac", type=float, help="fixed frequency as a fraction of omega_p")
+    ps.add_argument("--p", type=float, help="fixed specularity in [0, 1]")
+    ps.add_argument("--tol", type=float, default=SweepSpec.tol,
+                    help="quadrature tolerance (default %(default)s)")
+    ps.add_argument("--out", required=True, help="output CSV path")
     _add_material_flags(ps)
 
     pf = sub.add_parser("figure", help="run a bundled figure preset")
     pf.add_argument("name", choices=FIGURE_NAMES)
     pf.add_argument("--out", required=True, help="output CSV path (multi-series presets add a suffix per series)")
-    pf.add_argument("--tol", help="quadrature tolerance override")
+    pf.add_argument("--tol", type=float, default=SweepSpec.tol,
+                    help="quadrature tolerance (default %(default)s)")
 
     pv = sub.add_parser("validate", help="thin-film vs exact-slab report (p=1)")
     pv.add_argument("--out", required=True, help="output CSV path")
-    pv.add_argument("--theta", default="0.0", help="incidence angle, rad (default 0)")
-    pv.add_argument("--d-min", default="1e-9", help="smallest thickness, cm")
-    pv.add_argument("--d-max", default="1e-4", help="largest thickness, cm")
-    pv.add_argument("--d-count", default="11", help="thickness grid points (log-spaced)")
+    pv.add_argument("--theta", type=float, default=0.0, help="incidence angle, rad (default 0)")
+    pv.add_argument("--d-min", type=float, default=1e-9, help="smallest thickness, cm")
+    pv.add_argument("--d-max", type=float, default=1e-4, help="largest thickness, cm")
+    pv.add_argument("--d-count", type=int, default=11, help="thickness grid points (log-spaced)")
     pv.add_argument(
         "--omega-fracs",
         default="1e-3,1e-2,1e-1",
@@ -139,35 +126,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_sweep(args, parser) -> int:
-    _merge_config(args, parser)
-    _require(args, parser, "swept", "min", "max", "count", "out")
-    material = _material_from_args(args, parser)
-    fixed = {
-        name: None if getattr(args, name) is None else float(getattr(args, name))
-        for name in ("d", "theta", "omega_frac", "p")
-    }
     spec = SweepSpec(
         swept=args.swept,
-        grid=GridSpec(
-            min=float(args.min),
-            max=float(args.max),
-            count=int(args.count),
-            scale=args.scale or "linear",
-        ),
-        material=material,
-        tol=float(args.tol) if args.tol is not None else 1e-10,
-        **fixed,
+        grid=GridSpec(args.min, args.max, args.count, args.scale),
+        material=_material_from_args(args, parser),
+        d=args.d, theta=args.theta, omega_frac=args.omega_frac, p=args.p,
+        tol=args.tol,
     )
     emit_csv(run_sweep(spec), args.out)
     return 0
 
 
 def _cmd_figure(args, parser) -> int:
-    specs = figure_preset(args.name)
-    if args.tol is not None:
-        from dataclasses import replace
-
-        specs = [replace(s, tol=float(args.tol)) for s in specs]
+    specs = [replace(s, tol=args.tol) for s in figure_preset(args.name)]
     out = Path(args.out)
     for spec in specs:
         path = _series_path(out, spec.label) if len(specs) > 1 else out
@@ -180,11 +151,11 @@ def _cmd_validate(args, parser) -> int:
     fracs = tuple(float(f) for f in args.omega_fracs.split(","))
     setups = default_validation_setups(
         material,
-        d_min=float(args.d_min),
-        d_max=float(args.d_max),
-        d_count=int(args.d_count),
+        d_min=args.d_min,
+        d_max=args.d_max,
+        d_count=args.d_count,
         omega_fracs=fracs,
-        theta=float(args.theta),
+        theta=args.theta,
     )
     emit_validation_csv(validate_thin_film(material, setups), args.out)
     return 0
@@ -193,9 +164,18 @@ def _cmd_validate(args, parser) -> int:
 def main(argv=None) -> int:
     """Run one subcommand; bad input and an unwritable output exit with code 2."""
     parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
     handlers = {"sweep": _cmd_sweep, "figure": _cmd_figure, "validate": _cmd_validate}
     try:
+        # Config entries go before the user's flags, so the user's flags win;
+        # "--key=value" keeps a value such as -5e-1 from reading as a flag.
+        options = _config_options(argv)
+        config_flags = [f"--{key}={value}" for key, value in options.items()]
+        args = parser.parse_args([*argv[:1], *config_flags, *argv[1:]])
+        for key in options:
+            # argparse accepts a unique prefix ("swe" for "swept"); a key must be exact.
+            if key.replace("-", "_") not in vars(args):
+                raise ValueError(f"unknown config key {key!r}")
         return handlers[args.command](args, parser)
     except (ValueError, OSError) as exc:
         parser.error(str(exc))

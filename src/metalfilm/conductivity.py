@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .materials import FilmSetup, MaterialParams, derive_bulk
-from .quadrature import integrate_complex
+from .quadrature import QuadratureError, integrate_complex
 
 __all__ = [
     "ConductivityResult",
@@ -56,11 +56,16 @@ class ConductivityResult:
     quad_error_estimate : float
         propagated quadrature error bound on the dimensionless ratio
         sigma_d / (sigma_0 / (1 - i*omega*tau)); zero on the exact p = 1 path
+    converged : bool
+        False when the quadrature ran out of panels before reaching the
+        tolerance; sigma_d is then its best estimate and
+        quad_error_estimate the (larger than asked) bound on it
     """
 
     sigma_d: complex
     phi_inverse: complex
     quad_error_estimate: float
+    converged: bool
 
 
 def _check_w_p(w: complex, p: float) -> None:
@@ -147,19 +152,27 @@ def sigma_d(m: MaterialParams, s: FilmSetup, tol: float = 1e-10) -> Conductivity
     For p = 1 the result is exactly the bulk Drude value
     sigma_0 / (1 - i*omega*tau): specular surfaces do not disturb the
     electron distribution, so the size effect vanishes identically.
-    Quadrature and domain errors propagate to the caller.
+    A quadrature that exhausts its panel budget does not raise: the best
+    estimate is returned with ``converged=False``.  Domain errors
+    propagate to the caller.
     """
     drude = drude_conductivity(m, s.omega)
     w = complex_thickness(m, s.d, s.omega)
     if s.p == 1.0:
         return ConductivityResult(
-            sigma_d=drude, phi_inverse=1.0 / w, quad_error_estimate=0.0
+            sigma_d=drude, phi_inverse=1.0 / w, quad_error_estimate=0.0, converged=True
         )
-    integral, int_err = integrate_fuchs(w, s.p, tol)
+    try:
+        integral, int_err = integrate_fuchs(w, s.p, tol)
+        converged = True
+    except QuadratureError as exc:
+        integral, int_err = exc.value, exc.error_estimate
+        converged = False
     phi_inv = phi_inverse_from_integral(w, s.p, integral)
     ratio_err = 1.5 * (1.0 - s.p) * int_err / abs(w)
     return ConductivityResult(
         sigma_d=drude * w * phi_inv,
         phi_inverse=phi_inv,
         quad_error_estimate=ratio_err,
+        converged=converged,
     )

@@ -26,7 +26,7 @@ from typing import Iterable
 import numpy as np
 
 from .conductivity import complex_thickness, drude_conductivity
-from .materials import C_LIGHT, FilmSetup, MaterialParams
+from .materials import C_LIGHT, FilmSetup, MaterialParams, _check_positive
 from .optics import ImpedancePair, OpticalCoefficients, _first, tra_for_film, tra_from_impedances
 
 __all__ = [
@@ -200,6 +200,8 @@ def default_validation_setups(
     """
     if d_count < 2:
         raise ValueError("d_count must be >= 2")
+    _check_positive("d_min", d_min)
+    _check_positive("d_max", d_max)
     ratio = (d_max / d_min) ** (1.0 / (d_count - 1))
     ds = [d_min * ratio**i for i in range(d_count)]
     return [

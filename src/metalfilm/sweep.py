@@ -18,15 +18,9 @@ from typing import Iterable
 
 import numpy as np
 
-from .conductivity import (
-    complex_thickness,
-    drude_conductivity,
-    phi_inverse_from_integral,
-    sigma_d,
-)
+from .conductivity import complex_thickness, drude_conductivity, sigma_d
 from .materials import C_LIGHT, FilmSetup, MaterialParams, sodium_preset
 from .optics import tra_for_film
-from .quadrature import QuadratureError
 from .slab import ValidationRow
 
 __all__ = [
@@ -109,9 +103,10 @@ class SweepSpec:
     def __post_init__(self) -> None:
         if self.swept not in _SWEPT_CHOICES:
             raise ValueError(f"swept must be one of {_SWEPT_CHOICES}, got {self.swept!r}")
-        fixed = {"d": self.d, "theta": self.theta, "omega": self.omega_frac, "p": self.p}
+        fixed = {"d": self.d, "theta": self.theta, "omega_frac": self.omega_frac, "p": self.p}
+        swept_field = "omega_frac" if self.swept == "omega" else self.swept
         for name, value in fixed.items():
-            if name == self.swept:
+            if name == swept_field:
                 if value is not None:
                     raise ValueError(f"{name} is swept and must not also be fixed")
             elif value is None:
@@ -152,18 +147,6 @@ class SweepRow:
     quad_err: float
 
 
-def _sigma_best_estimate(material: MaterialParams, setup: FilmSetup, tol: float):
-    """sigma_d, but a quadrature budget failure degrades to the best estimate."""
-    try:
-        res = sigma_d(material, setup, tol)
-        return res.sigma_d, res.quad_error_estimate
-    except QuadratureError as exc:
-        w = complex_thickness(material, setup.d, setup.omega)
-        phi_inv = phi_inverse_from_integral(w, setup.p, exc.value)
-        sigma = drude_conductivity(material, setup.omega) * w * phi_inv
-        return sigma, 1.5 * (1.0 - setup.p) * exc.error_estimate / abs(w)
-
-
 def run_sweep(spec: SweepSpec) -> list[SweepRow]:
     """Evaluate the grid in order; deterministic for a given spec.
 
@@ -172,8 +155,8 @@ def run_sweep(spec: SweepSpec) -> list[SweepRow]:
     distinct (d, omega, p), made in grid order and copied to every row
     that shares it, so a theta sweep needs a single kernel integral.
     Coefficients are clamped to [0, 1] here, in the presentation layer
-    only; the core routines never clamp.  A quadrature failure is
-    recorded through a large quad_err value instead of aborting the run.
+    only; the core routines never clamp.  A quadrature that did not
+    converge shows as a large quad_err value instead of aborting the run.
     """
     m = spec.material
     values = spec.grid.values()
@@ -194,7 +177,8 @@ def run_sweep(spec: SweepSpec) -> list[SweepRow]:
         found = {}
         for key, i in zip(keys, diffuse.tolist()):
             if key not in found:
-                found[key] = _sigma_best_estimate(m, spec.setup_for(values[i]), spec.tol)
+                res = sigma_d(m, spec.setup_for(values[i]), spec.tol)
+                found[key] = res.sigma_d, res.quad_error_estimate
         sigma[diffuse], quad_err[diffuse] = zip(*(found[key] for key in keys))
 
     coeffs = tra_for_film(sigma, d, theta)

@@ -5,7 +5,9 @@ composite Simpson on dense uniform grids, in two different variables, so
 an error in the adaptive quadrature or in the integrand substitution
 cannot cancel.  ``reference_sweep`` is the per-point sweep loop that the
 array evaluation in ``metalfilm.sweep`` replaced; it keeps that loop's
-own formulas for w, kd and the best-estimate fallback.
+own formulas for w, kd, the Drude value and the assembly of sigma_d and
+its error bound from ``integrate_fuchs`` (converged or not), in the
+package's order of operations, so p < 1 values agree bit for bit.
 ``reference_validation`` solves the exact slab one setup at a time with
 ``cmath``, as the package did before its slab code became array-shaped,
 and ``reference_emit_csv``/``reference_emit_validation_csv`` are the
@@ -26,8 +28,7 @@ from metalfilm import (
     ValidationRow,
     complex_thickness,
     derive_bulk,
-    phi_inverse_from_integral,
-    sigma_d,
+    integrate_fuchs,
     tra_for_film,
 )
 from metalfilm.conductivity import drude_conductivity
@@ -82,13 +83,17 @@ def reference_sweep(spec):
     for v in spec.grid.values():
         s = spec.setup_for(v)
         w = (s.d / der.l) * complex(1.0, -s.omega * der.tau)
-        try:
-            res = sigma_d(m, s, spec.tol)
-            sigma, quad_err = res.sigma_d, res.quad_error_estimate
-        except QuadratureError as exc:
-            phi_inv = phi_inverse_from_integral(w, s.p, exc.value)
-            sigma = der.sigma_0 / complex(1.0, -s.omega * der.tau) * w * phi_inv
-            quad_err = 1.5 * (1.0 - s.p) * exc.error_estimate / abs(w)
+        drude = der.sigma_0 / complex(1.0, -s.omega * der.tau)
+        if s.p == 1.0:
+            sigma, quad_err = drude, 0.0
+        else:
+            try:
+                integral, int_err = integrate_fuchs(w, s.p, spec.tol)
+            except QuadratureError as exc:
+                integral, int_err = exc.value, exc.error_estimate
+            phi_inv = 1.0 / w - 1.5 * (1.0 - s.p) * integral / (w * w)
+            sigma = drude * w * phi_inv
+            quad_err = 1.5 * (1.0 - s.p) * int_err / abs(w)
         c = tra_for_film(sigma, s.d, s.theta)
         rows.append(
             SweepRow(

@@ -137,6 +137,22 @@ def test_bad_input_is_usage_error(tmp_path, monkeypatch, capsys, argv, computes)
     assert not out.exists()
 
 
+@pytest.mark.parametrize("bound", [["--d-min", "0"], ["--d-min=-1e-9"]], ids=["zero", "negative"])
+def test_nonpositive_thickness_bound_is_usage_error(tmp_path, capsys, bound):
+    """A bound the log grid cannot start from exits 2 before any work."""
+    out = tmp_path / "report.csv"
+    with pytest.raises(SystemExit) as info:
+        main(["validate", "--out", str(out), *bound])
+    assert info.value.code == 2
+    err = capsys.readouterr().err
+    assert "error:" in err and "d_min must be positive and finite" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+_THETA_CONFIG = "swept = theta\nmin = 0.0\nmax = 1.0\ncount = 3\nd = 1e-7\nomega-frac = 1e-2\np = 1.0\n"
+
+
 class TestConfigFile:
     def test_parse(self, tmp_path):
         cfg = tmp_path / "spec.cfg"
@@ -188,6 +204,41 @@ class TestConfigFile:
         with pytest.raises(SystemExit) as info:
             main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "x.csv")])
         assert info.value.code == 2
+
+
+    def test_abbreviated_config_key_is_usage_error(self, tmp_path, capsys):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(_THETA_CONFIG.replace("swept", "swe"))
+        out = tmp_path / "x.csv"
+        with pytest.raises(SystemExit) as info:
+            main(["sweep", "--config", str(cfg), "--out", str(out)])
+        assert info.value.code == 2
+        assert "unknown config key 'swe'" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_negative_config_value_reaches_the_domain_check(self, tmp_path, capsys):
+        cfg = tmp_path / "p.cfg"
+        cfg.write_text("swept = p\nmin = -5e-1\nmax = 1.0\ncount = 3\nd = 1e-7\ntheta = 0\nomega-frac = 1e-2\n")
+        with pytest.raises(SystemExit) as info:
+            main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "x.csv")])
+        assert info.value.code == 2
+        assert "p must lie in [0, 1]" in capsys.readouterr().err
+
+    def test_flag_before_config_still_wins(self, tmp_path):
+        cfg = tmp_path / "spec.cfg"
+        cfg.write_text(_THETA_CONFIG)
+        out = tmp_path / "override.csv"
+        assert main(["sweep", "--count", "5", "--config", str(cfg), "--out", str(out)]) == 0
+        assert len(out.read_text().splitlines()) == 6
+
+    @pytest.mark.parametrize("key", ["swept", "count"])
+    def test_missing_required_key_is_usage_error(self, tmp_path, capsys, key):
+        cfg = tmp_path / "spec.cfg"
+        cfg.write_text("".join(l + "\n" for l in _THETA_CONFIG.splitlines() if not l.startswith(key)))
+        with pytest.raises(SystemExit) as info:
+            main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "x.csv")])
+        assert info.value.code == 2
+        assert f"--{key}" in capsys.readouterr().err
 
 
 class TestValidateCommand:

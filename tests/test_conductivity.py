@@ -11,6 +11,7 @@ from metalfilm import (
     sigma_d,
     sodium_preset,
 )
+from metalfilm.quadrature import QuadratureError
 from helpers import fuchs_integral_simpson_u
 
 # Frozen oracle values, computed with composite Simpson on u in (0, 1]
@@ -190,3 +191,26 @@ class TestSigmaD:
     def test_zero_thickness_rejected(self):
         with pytest.raises(ValueError):
             FilmSetup(d=0.0, theta=0.0, omega=1e14, p=0.5)
+
+    def test_unconverged_quadrature_returns_best_estimate(self):
+        """An unreachable tolerance returns the budget-exhausted estimate, flagged."""
+        m = sodium_preset()
+        der = derive_bulk(m)
+        s = FilmSetup(d=1e-7, theta=0.0, omega=m.omega_p, p=0.0)
+        res = sigma_d(m, s, tol=1e-18)
+        assert res.converged is False
+        w = (s.d / der.l) * complex(1.0, -s.omega * der.tau)
+        with pytest.raises(QuadratureError) as info:
+            integrate_fuchs(w, 0.0, tol=1e-18)
+        phi_inv = 1.0 / w - 1.5 * info.value.value / (w * w)
+        drude = der.sigma_0 / complex(1.0, -s.omega * der.tau)
+        assert res.phi_inverse == phi_inv
+        assert res.sigma_d == drude * w * phi_inv
+        assert res.quad_error_estimate == 1.5 * info.value.error_estimate / abs(w)
+        assert res.quad_error_estimate > 1e-18
+
+    @pytest.mark.parametrize("p", [0.0, 0.5, 1.0])
+    def test_converged_points_say_so(self, p):
+        m = sodium_preset()
+        res = sigma_d(m, FilmSetup(d=1e-7, theta=0.0, omega=m.omega_p, p=p))
+        assert res.converged is True

@@ -68,6 +68,12 @@ class TestSweepSpec:
         with pytest.raises(ValueError):
             small_spec(p=None)
 
+    def test_messages_name_the_omega_frac_field(self):
+        with pytest.raises(ValueError, match="^omega_frac is swept and must not also be fixed$"):
+            small_spec(swept="omega", theta=0.0, grid=GridSpec(1e-3, 1e-1, 3))
+        with pytest.raises(ValueError, match="^fixed value for omega_frac is required$"):
+            small_spec(swept="d", d=None, theta=0.0, omega_frac=None, grid=GridSpec(1e-8, 1e-7, 3))
+
     def test_bad_swept_name(self):
         with pytest.raises(ValueError):
             small_spec(swept="thickness")
