@@ -125,11 +125,11 @@ def integrate_fuchs(w: complex, p: float, tol: float = 1e-10) -> tuple[complex, 
     def transformed(u):
         # t = 1/u maps [1, inf) onto (0, 1]; the integrand becomes
         # (u - u^3)*(1 - e^{-w/u})/(1 - p e^{-w/u}), smooth with limit 0 at u=0.
-        with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-            decay = np.exp(-w / u)
-            return (u - u**3) * (1.0 - decay) / (1.0 - p * decay)
+        decay = np.exp(-w / u)
+        return (u - u * u * u) * (1.0 - decay) / (1.0 - p * decay)
 
-    return integrate_complex(transformed, 0.0, 1.0, tol=float(tol), max_panels=10_000)
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        return integrate_complex(transformed, 0.0, 1.0, tol=float(tol), max_panels=10_000)
 
 
 def phi_inverse_from_integral(w: complex, p: float, integral: complex) -> complex:

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
@@ -132,13 +132,14 @@ def exact_tra(lp: LocalSlabParams) -> OpticalCoefficients:
     return tra_from_impedances(exact_impedances(lp), lp.theta)
 
 
-@dataclass(frozen=True)
-class ValidationRow:
-    """Per-point comparison between the thin-film and exact routes."""
+class ValidationRow(NamedTuple):
+    """Per-point comparison between the thin-film and exact routes.
+
+    The fields before ``theta`` are the validation CSV columns in order
+    (``d`` is the swept value); ``theta`` is last and not written.
+    """
 
     d: float
-    theta: float
-    omega_over_omega_p: float
     T: float
     R: float
     A: float
@@ -148,10 +149,12 @@ class ValidationRow:
     im_w: float
     kd: float
     quad_err: float
+    omega_over_omega_p: float
     abs_dT: float
     abs_dR: float
     abs_dA: float
     d_over_delta: float
+    theta: float
 
 
 def validate_thin_film(m: MaterialParams, setups: Iterable[FilmSetup]) -> list[ValidationRow]:
@@ -177,10 +180,10 @@ def validate_thin_film(m: MaterialParams, setups: Iterable[FilmSetup]) -> list[V
     thin = tra_for_film(sigma, d, theta)
     exact = exact_tra(lp)
     columns = (
-        d, theta, omega / m.omega_p, thin.T, thin.R, thin.A, sigma.real, sigma.imag,
-        w.real, w.imag, omega * d / C_LIGHT, np.zeros(d.shape),
+        d, thin.T, thin.R, thin.A, sigma.real, sigma.imag, w.real, w.imag,
+        omega * d / C_LIGHT, np.zeros(d.shape), omega / m.omega_p,
         np.abs(thin.T - exact.T), np.abs(thin.R - exact.R), np.abs(thin.A - exact.A),
-        d * slab_wavevector(lp).imag,
+        d * slab_wavevector(lp).imag, theta,
     )
     return [ValidationRow(*row) for row in zip(*(c.tolist() for c in columns))]
 

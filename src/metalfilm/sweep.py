@@ -12,9 +12,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from operator import attrgetter
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
@@ -43,13 +42,11 @@ VALIDATION_CSV_HEADER = (
     "omega_over_omega_p,abs_dT,abs_dR,abs_dA,d_over_delta"
 )
 
-# One row is one ``%`` formatting of one attribute fetch; "%.17e" gives the
-# same digits as format(v, ".17e").  The columns after the swept name are
-# the row fields of the same name; a validation row's swept value is d.
+# One row is one ``%`` formatting of the row tuple, whose fields are the
+# CSV columns in order; "%.17e" gives the same digits as format(v, ".17e").
+# A validation row's swept name is the literal d and its swept value is d.
 _CSV_FORMAT = "%s" + ",%.17e" * CSV_HEADER.count(",")
-_CSV_FIELDS = attrgetter(*CSV_HEADER.split(","))
 _VALIDATION_FORMAT = "d" + ",%.17e" * VALIDATION_CSV_HEADER.count(",")
-_VALIDATION_FIELDS = attrgetter("d", *VALIDATION_CSV_HEADER.split(",")[2:])
 
 
 @dataclass(frozen=True)
@@ -130,9 +127,8 @@ class SweepSpec:
         return FilmSetup(d=d, theta=theta, omega=omega_frac * self.material.omega_p, p=p)
 
 
-@dataclass(frozen=True)
-class SweepRow:
-    """One evaluated grid point; the CSV column order follows the fields."""
+class SweepRow(NamedTuple):
+    """One evaluated grid point; the fields are the CSV columns in order."""
 
     swept_name: str
     swept_value: float
@@ -265,23 +261,24 @@ def figure_preset(name: str) -> list[SweepSpec]:
     raise ValueError(f"unknown figure preset {name!r}; choose from {FIGURE_NAMES}")
 
 
-def _write_csv(rows: Iterable, destination, header: str, fmt: str, fields) -> None:
-    """Header plus ``fmt % fields(row)`` for each row."""
-    rows = list(rows)
-    if not rows:
+def _write_csv(lines: list[str], destination, header: str) -> None:
+    """Header plus the formatted rows, one per line."""
+    if not lines:
         raise ValueError("no rows to emit")
     path = Path(destination)
     try:
-        path.write_text("\n".join([header, *(fmt % fields(r) for r in rows)]) + "\n")
+        path.write_text("\n".join([header, *lines]) + "\n")
     except OSError as exc:
         raise OSError(f"failed to write CSV to {path}: {exc}") from exc
 
 
 def emit_csv(rows: Iterable[SweepRow], destination) -> None:
     """Write header plus rows, numbers in full-precision scientific notation."""
-    _write_csv(rows, destination, CSV_HEADER, _CSV_FORMAT, _CSV_FIELDS)
+    _write_csv([_CSV_FORMAT % row for row in rows], destination, CSV_HEADER)
 
 
 def emit_validation_csv(rows: Iterable[ValidationRow], destination) -> None:
     """Validation report: the sweep schema plus the deviation columns."""
-    _write_csv(rows, destination, VALIDATION_CSV_HEADER, _VALIDATION_FORMAT, _VALIDATION_FIELDS)
+    # theta, the last field, is not a column
+    _write_csv([_VALIDATION_FORMAT % row[:-1] for row in rows], destination,
+               VALIDATION_CSV_HEADER)

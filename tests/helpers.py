@@ -12,12 +12,15 @@ package's order of operations, so p < 1 values agree bit for bit.
 ``cmath``, as the package did before its slab code became array-shaped,
 and ``reference_emit_csv``/``reference_emit_validation_csv`` are the
 per-value f-string emitters the ``%`` formatting replaced.
+``fuchs_ratio`` is the closed-form E3 - E5 series for sigma_d / sigma_Drude
+in ``mpmath``; it needs no quadrature, so it stays exact where Im w >> Re w.
 """
 
 import cmath
 import math
 from pathlib import Path
 
+import mpmath
 import numpy as np
 
 from metalfilm import (
@@ -68,6 +71,31 @@ def fuchs_integral_simpson_t(w, p, panels=10**6, decay_lengths=40.0):
     f = (t**-3.0 - t**-5.0) * (1.0 - e) / (1.0 - p * e)
     tail = 0.5 / t_max**2 - 0.25 / t_max**4
     return simpson(f, (t_max - 1.0) / panels) + tail
+
+
+def fuchs_ratio(w, p, dps=30):
+    """sigma_d / sigma_Drude = w * phi_inverse(w, p) from the Fuchs series.
+
+        I(w, p) = 1/4 - (1-p) sum_{n>=1} p^(n-1) [E3(n w) - E5(n w)]
+
+    (Sondheimer, Adv. Phys. 1, 1 (1952)), with E3 and E5 from
+    ``mpmath.expint``.  Since |E3(z) - E5(z)| <= e^-Re(z)/4, the terms after
+    the n-th sum to at most p^n e^-(n+1)x / (4 (1 - p e^-x)), x = Re w; the
+    sum stops once that tail moves the ratio by less than 1e-15 of its value.
+    """
+    with mpmath.workdps(dps):
+        w, p = mpmath.mpc(w), mpmath.mpf(p)
+        decay = mpmath.exp(-w.real)
+        factor = 1.5 * (1 - p) / w
+        total, pn, n = mpmath.mpc(0), mpmath.mpf(1), 1
+        while True:
+            total += pn * (mpmath.expint(3, n * w) - mpmath.expint(5, n * w))
+            ratio = 1 - factor * (mpmath.mpf(1) / 4 - (1 - p) * total)
+            tail = pn * p * decay ** (n + 1) / (4 * (1 - p * decay))
+            if abs(factor) * (1 - p) * tail <= 1e-15 * abs(ratio):
+                return complex(ratio)
+            pn *= p
+            n += 1
 
 
 def _clamp01(x):

@@ -12,7 +12,7 @@ from metalfilm import (
     sodium_preset,
 )
 from metalfilm.quadrature import QuadratureError
-from helpers import fuchs_integral_simpson_u
+from helpers import fuchs_integral_simpson_u, fuchs_ratio
 
 # Frozen oracle values, computed with composite Simpson on u in (0, 1]
 # at 1e7 panels and cross-checked against an independent t-space Simpson
@@ -129,6 +129,18 @@ class TestPhiInverse:
     def test_thin_limit_suppression(self):
         g = 0.01 * phi_inverse(0.01 + 0j, 0.0)
         assert 0.0 < g.real < 0.05
+
+    @pytest.mark.parametrize("w", [
+        complex(0.00777028329691721, -0.5600186744872427),
+        complex(0.02035726422903993, -1.1511223066931895),
+    ])
+    def test_oscillatory_against_series(self, w):
+        """Im w >> Re w: the ratio matches the E3 - E5 series within its bound."""
+        exact = fuchs_ratio(w, 0.0)
+        error = abs(w * phi_inverse(w, 0.0) - exact)
+        _, int_err = integrate_fuchs(w, 0.0)
+        assert error <= 1e-8 * abs(exact)
+        assert error <= 1.5 * int_err / abs(w)
 
 
 class TestSigmaD:

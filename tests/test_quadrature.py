@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import metalfilm.quadrature
 from metalfilm.quadrature import (
     GAUSS_WEIGHTS,
     KRONROD_WEIGHTS,
@@ -92,6 +93,32 @@ class TestIntegrateComplex:
         assert np.isfinite(exc.error_estimate) and exc.error_estimate > 0
         # crude but bounded: the carried value is within its own error bar
         assert abs(exc.value - exact) <= 10 * exc.error_estimate
+
+    def test_budget_caps_the_split(self, monkeypatch):
+        """More panels qualify than fit: the largest split, never past max_panels."""
+        live = []
+        original = metalfilm.quadrature._panel_rule
+
+        def counted(f, lefts, rights):
+            # the first batch is the initial mesh; each later one holds the
+            # two halves of every panel split, adding one live panel apiece
+            live.append(len(lefts) if not live else live[-1] + len(lefts) // 2)
+            return original(f, lefts, rights)
+
+        monkeypatch.setattr(metalfilm.quadrature, "_panel_rule", counted)
+        a = 2000j
+        with pytest.raises(QuadratureError) as info:
+            integrate_complex(lambda x: np.exp(a * x), 0.0, 1.0, tol=1e-13, max_panels=20)
+        # 8 -> 16 splits all eight; 16 -> 20 needs the cap, since every
+        # panel still sits far above its share of the target
+        assert live == [8, 16, 20]
+        exc = info.value
+        assert np.isfinite(exc.value) and np.isfinite(exc.error_estimate)
+
+    def test_nan_integrand_ends_in_budget_failure(self):
+        """A NaN error still counts as too large, so the loop cannot stall."""
+        with pytest.raises(QuadratureError):
+            integrate_complex(lambda x: np.full(x.shape, np.nan + 0j), 0.0, 1.0, max_panels=64)
 
     def test_determinism(self):
         f = lambda x: np.exp((-1.0 + 7j) * x) / (1.0 + x**2)

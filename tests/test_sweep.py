@@ -1,10 +1,10 @@
-import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 import metalfilm.conductivity
+import metalfilm.quadrature
 import metalfilm.sweep
 from metalfilm import (
     GridSpec,
@@ -243,6 +243,14 @@ class TestWorkCount:
         assert integrals == []
         assert len(optics) == 1
 
+    @pytest.mark.parametrize("name, ceiling", [("fig2", 2_100), ("fig3", 2_400)])
+    def test_preset_rule_calls(self, monkeypatch, name, ceiling):
+        """Kronrod batches per preset; the error-mass bisection took 5,806 and 4,960."""
+        batches = self._count(monkeypatch, metalfilm.quadrature, "_panel_rule")
+        (spec,) = figure_preset(name)
+        run_sweep(spec)
+        assert len(batches) <= ceiling
+
 
 class TestFigurePresets:
     def test_fig1_parameters(self):
@@ -314,7 +322,7 @@ _EDGE_VALUES = (0.0, -0.0, 5e-324, 1e-320, 1.7976931348623157e308, 0.1, 1.0,
 
 
 def _edge_rows(row_type, lead):
-    n = len(dataclasses.fields(row_type)) - len(lead)
+    n = len(row_type._fields) - len(lead)
     return [row_type(*lead, *(_EDGE_VALUES[(i + j) % len(_EDGE_VALUES)] for j in range(n)))
             for i in range(len(_EDGE_VALUES))]
 
