@@ -54,12 +54,15 @@ class ConductivityResult:
     phi_inverse : complex
         the dimensionless size-effect factor 1/Phi(w)
     quad_error_estimate : float
-        propagated quadrature error bound on the dimensionless ratio
-        sigma_d / (sigma_0 / (1 - i*omega*tau)); zero on the exact p = 1 path
+        propagated quadrature error estimate on the dimensionless ratio
+        sigma_d / (sigma_0 / (1 - i*omega*tau)); zero on the exact p = 1
+        path.  An estimate, not a bound: in the oscillatory regime
+        (|Im w| >= 10 Re w) it can fall below the true error (ROADMAP.md,
+        item 1)
     converged : bool
         False when the quadrature ran out of panels before reaching the
         tolerance; sigma_d is then its best estimate and
-        quad_error_estimate the (larger than asked) bound on it
+        quad_error_estimate the (larger than asked) estimate for it
     """
 
     sigma_d: complex
@@ -113,7 +116,9 @@ def fuchs_integrand(t, w: complex, p: float):
 def integrate_fuchs(w: complex, p: float, tol: float = 1e-10) -> tuple[complex, float]:
     """Evaluate I(w, p) adaptively.
 
-    Returns (value, error_estimate) with error_estimate <= tol*(|value|+1).
+    Returns (value, error_estimate) with error_estimate <= tol*(|value|+1);
+    error_estimate is the quadrature's error estimate, not a bound on the
+    true error (ROADMAP.md, item 1).
     Raises QuadratureError (carrying the best estimate) if the panel
     budget is exhausted, and ValueError for Re(w) <= 0.
     """

@@ -32,7 +32,7 @@ class QuadratureError(RuntimeError):
 
     Carries the best estimate so callers may degrade gracefully:
     ``value`` is the integral estimate, ``error_estimate`` its
-    (unacceptably large) error bound.
+    (unacceptably large) error estimate.
     """
 
     def __init__(self, message: str, value: complex, error_estimate: float):
@@ -142,14 +142,17 @@ def integrate_complex(
     Returns
     -------
     (value, error_estimate)
-        complex integral and the final summed error bound, which
-        satisfies error_estimate <= tol*(|value| + 1)
+        complex integral and the final summed error estimate, which
+        satisfies error_estimate <= tol*(|value| + 1).  It is an
+        estimate, not a bound: on an oscillating integrand a panel's
+        Kronrod-Gauss difference can fall below its real error
+        (ROADMAP.md, item 1)
 
     Raises
     ------
     QuadratureError
         if the budget is exhausted first; the exception carries the best
-        estimate and its error bound
+        estimate and its error estimate
     """
     if not tol > 0.0:
         raise ValueError(f"tol must be > 0, got {tol!r}")

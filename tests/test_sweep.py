@@ -1,4 +1,7 @@
 import math
+import sys
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -7,6 +10,7 @@ import metalfilm.conductivity
 import metalfilm.quadrature
 import metalfilm.sweep
 from metalfilm import (
+    FIGURE_NAMES,
     GridSpec,
     SweepRow,
     SweepSpec,
@@ -357,6 +361,165 @@ class TestEmitterBytes:
         for token in ("-0.00000000000000000e+00", "4.94065645841246544e-324",
                       "1.79769313486231571e+308", "1.00000000000000006e-01"):
             assert token in text
+
+
+def _kernel_text(values):
+    """The CSV number kernel's text for each value."""
+    slots = metalfilm.sweep._format_e17(np.asarray(values, dtype=float))
+    return [bytes(slot[slot != 0]).decode() for slot in slots]
+
+
+def _assert_percent_e17(values):
+    values = np.asarray(values, dtype=float)
+    want = ["%.17e" % v for v in values.tolist()]
+    bad = [(v.hex(), got, text) for v, got, text
+           in zip(values.tolist(), _kernel_text(values), want) if got != text]
+    assert not bad, f"{len(bad)} of {len(want)} differ, first: {bad[:3]}"
+
+
+@pytest.fixture
+def fallback_sizes(monkeypatch):
+    """Sizes of the arrays the kernel hands to its '%' fallback."""
+    sizes = []
+    fallback = metalfilm.sweep._percent_e17
+
+    def counting(values):
+        sizes.append(values.size)
+        return fallback(values)
+
+    monkeypatch.setattr(metalfilm.sweep, "_percent_e17", counting)
+    return sizes
+
+
+#: the double nearest 1e153 lies below it by less than half a unit of the
+#: 18th digit, so its digits round up to 10**18 and carry into the
+#: exponent; no other double does (checked for every power of ten)
+_CARRY = float.fromhex("0x1.317e5ef3ab327p+508")
+
+
+class TestCsvNumberKernel:
+    """The array kernel writes exactly the bytes of '%.17e'."""
+
+    def test_random_bit_patterns(self):
+        bits = np.random.default_rng(20261018).integers(0, 2**64, 200_000, dtype=np.uint64)
+        # every sign and exponent field occurs
+        assert np.unique(bits >> np.uint64(52)).size == 4096
+        _assert_percent_e17(bits.view(np.float64))
+
+    def test_special_values(self):
+        biggest = sys.float_info.max
+        _assert_percent_e17([0.0, -0.0, math.inf, -math.inf, math.nan, -math.nan,
+                             5e-324, -5e-324, 1e-320, biggest, -biggest])
+
+    def test_powers_of_ten_and_neighbours(self):
+        tens = np.array([float(f"1e{k}") for k in range(-300, 301)])
+        _assert_percent_e17(np.concatenate(
+            [tens, np.nextafter(tens, 0.0), np.nextafter(tens, np.inf), -tens]))
+
+    def test_exact_ties(self):
+        rng = np.random.default_rng(8)
+        # in [1e15, 2**50) n + k/8 is exact with 19 significant digits, so
+        # an odd k is a tie at the 18th (re_sigma_d sits there); above
+        # 2**50 the sum rounds to a coarser grid
+        eighths = rng.integers(10**15, 2**53, 100_000) + rng.integers(0, 8, 100_000) / 8
+        eighths[::2] = rng.integers(10**15, 2**50, 50_000) + rng.integers(0, 8, 50_000) / 8
+        ties = sum(Decimal(v).as_tuple().digits[18:] == (5,) for v in eighths.tolist())
+        assert ties > 20_000
+        _assert_percent_e17(eighths)
+        _assert_percent_e17(rng.integers(10**17, 2**63, 100_000).astype(float))
+        # m / 2**j has j decimals; many of these are ties where 10**k is
+        # not a double, so the product is not exact
+        odd = np.arange(1, 1024, 2, dtype=float)
+        _assert_percent_e17(np.concatenate([odd / 2.0**j for j in range(1, 90)]))
+
+    def test_near_ties_where_the_product_is_inexact(self):
+        """Doubles whose scaled value lies a hair off a half-integer.
+
+        Outside 10**0..10**22 the scaled value carries a rounding error
+        larger than the hair, so these must not be rounded by the array
+        path.  Large x = M * 2**(g + K) scales to M * 2**g / 5**K, and
+        small x = M / 2**(g + K) to M * 5**K / 2**g; M is solved modulo
+        the denominator for a fraction just off one half.
+        """
+        values = []
+        for K in range(19, 30):
+            for g in range(40, 60):
+                large = [(mod, r * pow(2**g, -1, mod) % mod, 2.0**(g + K))
+                         for mod in [5**K] for r in ((mod - 1) // 2, (mod + 1) // 2)]
+                small = [(mod, (mod // 2 + s) * pow(5**K, -1, mod) % mod, 0.5**(g + K))
+                         for mod in [2**g] for s in (-1, 1)]
+                for mod, m, scale in large + small:
+                    m += -(-(2**52 - m) // mod) * mod
+                    x = float(m) * scale
+                    if m < 2**53 and 1e17 <= x * 10.0**(17 - math.floor(math.log10(x))) < 1e18:
+                        values.append(x)
+        assert len(values) > 50
+        _assert_percent_e17(values)
+
+    def test_carry_into_the_exponent(self, fallback_sizes):
+        assert Fraction(_CARRY) < 10**153
+        assert _kernel_text([_CARRY, -_CARRY]) == [
+            "1.00000000000000000e+153", "-1.00000000000000000e+153"]
+        assert sum(fallback_sizes) == 0
+
+
+def _random_rows(row_type, count, names=("theta",), seed=0):
+    """Rows of random bit patterns, swept names taken in turn from names."""
+    width = len(row_type._fields) - (row_type is SweepRow)
+    bits = np.random.default_rng(seed).integers(0, 2**64, (count, width), dtype=np.uint64)
+    lead = ([(names[i % len(names)],) for i in range(count)] if row_type is SweepRow
+            else [()] * count)
+    return [row_type(*head, *values) for head, values in zip(lead, bits.view(np.float64).tolist())]
+
+
+_BLOCK = metalfilm.sweep._BLOCK_ROWS
+
+
+class TestBlockedEmitter:
+    @pytest.mark.parametrize("count", [1, _BLOCK - 1, _BLOCK, _BLOCK + 1])
+    def test_row_counts(self, tmp_path, count):
+        assert _same_bytes(tmp_path, emit_csv, reference_emit_csv,
+                           _random_rows(SweepRow, count))
+        assert _same_bytes(tmp_path, emit_validation_csv, reference_emit_validation_csv,
+                           _random_rows(ValidationRow, count))
+
+    def test_two_swept_names_in_one_call(self, tmp_path):
+        rows = _random_rows(SweepRow, _BLOCK + 3, names=("omega_over_omega_p", "d", "d"))
+        assert _same_bytes(tmp_path, emit_csv, reference_emit_csv, rows)
+
+    def test_generator_rows(self, tmp_path):
+        rows = _random_rows(SweepRow, _BLOCK + 1)
+        emit_csv((row for row in rows), tmp_path / "gen.csv")
+        reference_emit_csv(rows, tmp_path / "list.csv")
+        assert (tmp_path / "gen.csv").read_bytes() == (tmp_path / "list.csv").read_bytes()
+        rows = _random_rows(ValidationRow, 3)
+        emit_validation_csv(iter(rows), tmp_path / "gen.csv")
+        reference_emit_validation_csv(rows, tmp_path / "list.csv")
+        assert (tmp_path / "gen.csv").read_bytes() == (tmp_path / "list.csv").read_bytes()
+
+    def test_no_rows_creates_no_file(self, tmp_path):
+        for emit in (emit_csv, emit_validation_csv):
+            with pytest.raises(ValueError, match="^no rows to emit$"):
+                emit(iter(()), tmp_path / "empty.csv")
+            assert not (tmp_path / "empty.csv").exists()
+
+    def test_package_output_takes_the_array_path(self, tmp_path, fallback_sizes):
+        """At most 1 % of the figure and validation numbers reach the fallback.
+
+        The byte tests pass just as well when every value is formatted by
+        the fallback; this one fails then.
+        """
+        total = 0
+        for name in FIGURE_NAMES:
+            for spec in figure_preset(name):
+                rows = run_sweep(spec)
+                emit_csv(rows, tmp_path / "fig.csv")
+                total += len(rows) * (len(SweepRow._fields) - 1)
+        m = sodium_preset()
+        rows = validate_thin_film(m, default_validation_setups(m))
+        emit_validation_csv(rows, tmp_path / "validate.csv")
+        total += len(rows) * (len(ValidationRow._fields) - 1)
+        assert sum(fallback_sizes) <= 0.01 * total
 
 
 class TestFigureShapes:
