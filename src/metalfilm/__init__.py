@@ -10,98 +10,19 @@ complex frequency with a controlled-accuracy adaptive quadrature.
 Units are Gaussian-CGS throughout (cm, s, rad/s, conductivity in 1/s).
 """
 
-from .materials import (
-    C_LIGHT,
-    DerivedBulk,
-    FilmSetup,
-    MaterialParams,
-    derive_bulk,
-    sodium_preset,
-)
-from .quadrature import QuadratureError, integrate_complex
-from .conductivity import (
-    ConductivityResult,
-    complex_thickness,
-    fuchs_integrand,
-    integrate_fuchs,
-    phi_inverse,
-    phi_inverse_from_integral,
-    sigma_d,
-)
-from .optics import (
-    GrazingIncidenceError,
-    ImpedancePair,
-    OpticalCoefficients,
-    PassivityError,
-    b_factor,
-    thin_impedances,
-    tra_for_film,
-    tra_from_b,
-    tra_from_impedances,
-)
-from .slab import (
-    LocalSlabParams,
-    SlabResonanceError,
-    ValidationRow,
-    default_validation_setups,
-    exact_impedances,
-    exact_tra,
-    slab_wavevector,
-    validate_thin_film,
-)
-from .sweep import (
-    FIGURE_NAMES,
-    GridSpec,
-    SweepRow,
-    SweepSpec,
-    emit_csv,
-    emit_validation_csv,
-    figure_preset,
-    run_sweep,
-)
+# Each module's __all__ lists its public names; the package republishes them.
+from . import conductivity, materials, optics, quadrature, slab, sweep
+from .materials import *
+from .quadrature import *
+from .conductivity import *
+from .optics import *
+from .slab import *
+from .sweep import *
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "C_LIGHT",
-    "MaterialParams",
-    "DerivedBulk",
-    "FilmSetup",
-    "derive_bulk",
-    "sodium_preset",
-    "QuadratureError",
-    "integrate_complex",
-    "ConductivityResult",
-    "complex_thickness",
-    "fuchs_integrand",
-    "integrate_fuchs",
-    "phi_inverse",
-    "phi_inverse_from_integral",
-    "sigma_d",
-    "GrazingIncidenceError",
-    "PassivityError",
-    "ImpedancePair",
-    "OpticalCoefficients",
-    "b_factor",
-    "tra_from_b",
-    "thin_impedances",
-    "tra_from_impedances",
-    "tra_for_film",
-    "LocalSlabParams",
-    "SlabResonanceError",
-    "ValidationRow",
-    "slab_wavevector",
-    "exact_impedances",
-    "exact_tra",
-    "validate_thin_film",
-    "default_validation_setups",
-    "GridSpec",
-    "SweepSpec",
-    "SweepRow",
-    "FIGURE_NAMES",
-    "run_sweep",
-    "figure_preset",
-    "emit_csv",
-    "emit_validation_csv",
+    *(name for module in (materials, quadrature, conductivity, optics, slab, sweep)
+      for name in module.__all__),
     "__version__",
 ]

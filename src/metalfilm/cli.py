@@ -19,6 +19,7 @@ from pathlib import Path
 from .materials import MaterialParams, sodium_preset
 from .slab import default_validation_setups, validate_thin_film
 from .sweep import (
+    _SWEPT_CHOICES,
     FIGURE_NAMES,
     GridSpec,
     SweepSpec,
@@ -86,7 +87,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     ps = sub.add_parser("sweep", help="run one parameter sweep and write CSV")
     ps.add_argument("--config", help="flat key=value config file; flags override")
-    ps.add_argument("--swept", required=True, choices=("theta", "d", "p", "omega"))
+    ps.add_argument("--swept", required=True, choices=_SWEPT_CHOICES)
     ps.add_argument("--min", type=float, required=True,
                     help="grid lower bound (omega sweeps: fraction of omega_p)")
     ps.add_argument("--max", type=float, required=True, help="grid upper bound")

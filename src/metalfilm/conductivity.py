@@ -24,6 +24,7 @@ and Im(w) <= 0.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,13 +35,14 @@ from .quadrature import QuadratureError, integrate_complex
 __all__ = [
     "ConductivityResult",
     "complex_thickness",
-    "drude_conductivity",
     "fuchs_integrand",
     "integrate_fuchs",
     "phi_inverse",
-    "phi_inverse_from_integral",
     "sigma_d",
 ]
+
+#: w*w, which 1/Phi divides by, must stay a normal double
+_W_ABS_MIN, _W_ABS_MAX = 1e-150, 1e150
 
 
 @dataclass(frozen=True)
@@ -69,6 +71,14 @@ class ConductivityResult:
     phi_inverse: complex
     quad_error_estimate: float
     converged: bool
+
+
+def _check_w_abs(w: complex) -> None:
+    if not _W_ABS_MIN <= math.hypot(w.real, w.imag) <= _W_ABS_MAX:
+        raise ValueError(
+            f"|w| must lie in [{_W_ABS_MIN:g}, {_W_ABS_MAX:g}] so that w*w stays "
+            f"a normal double, got w={w!r}"
+        )
 
 
 def _check_w_p(w: complex, p: float) -> None:
@@ -123,8 +133,6 @@ def integrate_fuchs(w: complex, p: float, tol: float = 1e-10) -> tuple[complex, 
     budget is exhausted, and ValueError for Re(w) <= 0.
     """
     _check_w_p(complex(w), p)
-    if not tol > 0.0:
-        raise ValueError(f"tol must be > 0, got {tol!r}")
     w, p = complex(w), float(p)
 
     def transformed(u):
@@ -137,7 +145,7 @@ def integrate_fuchs(w: complex, p: float, tol: float = 1e-10) -> tuple[complex, 
         return integrate_complex(transformed, 0.0, 1.0, tol=float(tol), max_panels=10_000)
 
 
-def phi_inverse_from_integral(w: complex, p: float, integral: complex) -> complex:
+def _phi_inverse_from_integral(w: complex, p: float, integral: complex) -> complex:
     """Assemble 1/Phi(w) = 1/w - (3/(2 w^2))*(1-p)*I from a precomputed I."""
     return 1.0 / w - 1.5 * (1.0 - p) * integral / (w * w)
 
@@ -145,10 +153,11 @@ def phi_inverse_from_integral(w: complex, p: float, integral: complex) -> comple
 def phi_inverse(w: complex, p: float, tol: float = 1e-10) -> complex:
     """Size-effect factor 1/Phi(w); exactly 1/w for p = 1 (no quadrature)."""
     _check_w_p(complex(w), p)
+    _check_w_abs(complex(w))
     if p == 1.0:
         return 1.0 / w
     integral, _ = integrate_fuchs(w, p, tol)
-    return phi_inverse_from_integral(w, p, integral)
+    return _phi_inverse_from_integral(w, p, integral)
 
 
 def sigma_d(m: MaterialParams, s: FilmSetup, tol: float = 1e-10) -> ConductivityResult:
@@ -159,10 +168,11 @@ def sigma_d(m: MaterialParams, s: FilmSetup, tol: float = 1e-10) -> Conductivity
     electron distribution, so the size effect vanishes identically.
     A quadrature that exhausts its panel budget does not raise: the best
     estimate is returned with ``converged=False``.  Domain errors
-    propagate to the caller.
+    propagate to the caller, among them |w| outside [1e-150, 1e150].
     """
     drude = drude_conductivity(m, s.omega)
     w = complex_thickness(m, s.d, s.omega)
+    _check_w_abs(w)
     if s.p == 1.0:
         return ConductivityResult(
             sigma_d=drude, phi_inverse=1.0 / w, quad_error_estimate=0.0, converged=True
@@ -173,7 +183,7 @@ def sigma_d(m: MaterialParams, s: FilmSetup, tol: float = 1e-10) -> Conductivity
     except QuadratureError as exc:
         integral, int_err = exc.value, exc.error_estimate
         converged = False
-    phi_inv = phi_inverse_from_integral(w, s.p, integral)
+    phi_inv = _phi_inverse_from_integral(w, s.p, integral)
     ratio_err = 1.5 * (1.0 - s.p) * int_err / abs(w)
     return ConductivityResult(
         sigma_d=drude * w * phi_inv,

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .materials import C_LIGHT
+from .materials import C_LIGHT, _check_positive
 
 __all__ = [
     "GrazingIncidenceError",
@@ -77,13 +77,14 @@ def b_factor(sigma, d, theta):
     """Film admittance B = 2*pi*d*sigma/(c*cos(theta)).
 
     Scalars or numpy arrays (broadcast); scalar input returns a complex.
-    Requires 0 <= theta < pi/2; exactly pi/2 raises GrazingIncidenceError
-    so callers can switch to the analytic grazing limit.
+    Requires a finite d > 0 and 0 <= theta < pi/2; exactly pi/2 raises
+    GrazingIncidenceError so callers can switch to the analytic grazing
+    limit.
     """
     d, theta = np.asarray(d, dtype=float), np.asarray(theta, dtype=float)
-    bad = ~(d > 0.0)
+    bad = ~((0.0 < d) & (d < math.inf))
     if np.count_nonzero(bad):
-        raise ValueError(f"d must be > 0, got {_first(d, bad)!r}")
+        raise ValueError(f"d must be positive and finite, got {_first(d, bad)!r}")
     if np.count_nonzero(theta == math.pi / 2):
         raise GrazingIncidenceError("theta = pi/2: use the grazing limit (0, 1, 0)")
     bad = ~((0.0 <= theta) & (theta < math.pi / 2))
@@ -151,12 +152,14 @@ def thin_impedances(
     by the thin-slab field balance (it matches the qd->0 expansion of the
     exact slab solution).  ``kd_zero=True`` returns the long-wavelength
     simplification z1 = 0, z2 = c/(2*pi*d*sigma); an infinite z2 stands
-    for the non-conducting open-circuit limit.
+    for the non-conducting open-circuit limit.  d, omega and theta obey
+    the FilmSetup rules.
     """
-    if not d > 0.0:
-        raise ValueError(f"d must be > 0, got {d!r}")
-    if omega < 0.0:
-        raise ValueError(f"omega must be >= 0, got {omega!r}")
+    _check_positive("d", d)
+    if not (math.isfinite(omega) and omega >= 0.0):
+        raise ValueError(f"omega must be finite and >= 0, got {omega!r}")
+    if not 0.0 <= theta <= math.pi / 2:
+        raise ValueError(f"theta must lie in [0, pi/2], got {theta!r}")
     sigma = complex(sigma)
     if kd_zero:
         if sigma == 0:

@@ -102,6 +102,9 @@ NODES = np.concatenate([-_NODES_HALF[:0:-1], _NODES_HALF])
 KRONROD_WEIGHTS = np.concatenate([_KRONROD_WEIGHTS_HALF[:0:-1], _KRONROD_WEIGHTS_HALF])
 GAUSS_WEIGHTS = np.concatenate([_GAUSS_WEIGHTS_HALF[:0:-1], _GAUSS_WEIGHTS_HALF])
 
+#: uniform panels seeding the adaptive loop
+_INITIAL_PANELS = 8
+
 
 def _panel_rule(f, lefts: np.ndarray, rights: np.ndarray):
     """Kronrod value and |K-G| error estimate for a batch of panels."""
@@ -120,7 +123,6 @@ def integrate_complex(
     b: float,
     tol: float = 1e-10,
     max_panels: int = 10_000,
-    initial_panels: int = 8,
 ) -> tuple[complex, float]:
     """Integrate a complex-valued function over [a, b] adaptively.
 
@@ -136,8 +138,6 @@ def integrate_complex(
         estimate is <= tol*(|value| + 1)
     max_panels : int
         subdivision budget (number of simultaneously live panels)
-    initial_panels : int
-        uniform panels seeding the adaptive loop
 
     Returns
     -------
@@ -158,7 +158,7 @@ def integrate_complex(
         raise ValueError(f"tol must be > 0, got {tol!r}")
     if b < a:
         raise ValueError(f"invalid interval [{a!r}, {b!r}]")
-    edges = np.linspace(a, b, initial_panels + 1)
+    edges = np.linspace(a, b, _INITIAL_PANELS + 1)
     lefts, rights = edges[:-1].copy(), edges[1:].copy()
     vals, errs = _panel_rule(f, lefts, rights)
 

@@ -56,7 +56,7 @@ class SlabResonanceError(ValueError):
 class LocalSlabParams:
     """Slab with a position-independent conductivity.
 
-    sigma_local is the local (Drude) conductivity in 1/s with
+    sigma_local is the local (Drude) conductivity in 1/s, finite with
     Re(sigma_local) >= 0; d, theta, omega as in FilmSetup, except that
     omega must be strictly positive (no incident wave otherwise).  The
     fields may be numpy arrays (broadcast), describing one slab per
@@ -72,10 +72,12 @@ class LocalSlabParams:
         sigma = np.asarray(self.sigma_local, dtype=complex)
         d, theta, omega = (np.asarray(x, dtype=float) for x in (self.d, self.theta, self.omega))
         for bad, rule, x in (
+            (~np.isfinite(sigma), "sigma_local must be finite", sigma),
             (sigma.real < 0.0, "Re(sigma_local) must be >= 0", sigma),
-            (~(d > 0.0), "d must be > 0", d),
+            (~((0.0 < d) & (d < math.inf)), "d must be positive and finite", d),
             (~((0.0 <= theta) & (theta <= math.pi / 2)), "theta must lie in [0, pi/2]", theta),
             (~(omega > 0.0), "omega must be > 0", omega),
+            (np.isinf(omega), "omega must be finite", omega),
         ):
             if np.count_nonzero(bad):
                 raise ValueError(f"{rule}, got {_first(x, bad)!r}")

@@ -26,7 +26,7 @@ from typing import Iterable, NamedTuple
 
 import numpy as np
 
-from .conductivity import complex_thickness, drude_conductivity, sigma_d
+from .conductivity import _check_w_abs, complex_thickness, drude_conductivity, sigma_d
 from .materials import C_LIGHT, FilmSetup, MaterialParams, sodium_preset
 from .optics import tra_for_film
 from .slab import ValidationRow
@@ -85,8 +85,10 @@ class SweepSpec:
     The fixed field corresponding to ``swept`` must be left as None; the
     others must be set.  omega_frac is omega/omega_p (both for the fixed
     value and, when sweeping omega, for the grid bounds).  The fixed values
-    and both grid ends are checked through FilmSetup on construction, so
-    an invalid spec fails before any point is evaluated.
+    and both grid ends are checked through FilmSetup on construction, and
+    so is |w| at both grid ends (it grows with d and omega and does not
+    depend on theta or p, so the ends bound it over the whole grid); an
+    invalid spec fails before any point is evaluated.
     """
 
     swept: str
@@ -112,8 +114,9 @@ class SweepSpec:
                 raise ValueError(f"fixed value for {name} is required")
         if not self.tol > 0.0:
             raise ValueError(f"tol must be > 0, got {self.tol!r}")
-        self.setup_for(self.grid.min)
-        self.setup_for(self.grid.max)
+        for value in (self.grid.min, self.grid.max):
+            s = self.setup_for(value)
+            _check_w_abs(complex_thickness(self.material, s.d, s.omega))
 
     def setup_for(self, value: float) -> FilmSetup:
         """FilmSetup at one grid point (omega sweeps take the fraction)."""
@@ -190,8 +193,18 @@ def run_sweep(spec: SweepSpec) -> list[SweepRow]:
     return [SweepRow(swept_name, *row) for row in zip(*columns)]
 
 
-#: sweep presets named after the bundled figure datasets
-FIGURE_NAMES = ("fig1", "fig2", "fig3", "fig4", "fig5")
+#: sweep presets named after the bundled figure datasets:
+#: name -> (swept parameter, grid, fixed values)
+_FIGURES = {
+    "fig1": ("theta", GridSpec(0.0, math.pi / 2, 200), dict(d=1e-7, omega_frac=1e-2, p=0.5)),
+    "fig2": ("d", GridSpec(1e-7, 1e-6, 200), dict(theta=0.0, omega_frac=1e-1, p=0.5)),
+    "fig3": ("p", GridSpec(0.0, 1.0, 200), dict(theta=0.0, omega_frac=1e-1, d=1e-7)),
+    "fig4": ("omega", GridSpec(1e-3, 1e-1, 200, scale="log"), dict(theta=0.0, p=0.0)),
+    "fig5": ("omega", GridSpec(1e-3, 1e-1, 200, scale="log"), dict(theta=0.0, p=1.0)),
+}
+#: the frequency-sweep presets write one series per thickness, cm
+_SERIES_D = (1e-7, 2e-7, 3e-7)
+FIGURE_NAMES = tuple(_FIGURES)
 
 
 def figure_preset(name: str) -> list[SweepSpec]:
@@ -212,55 +225,15 @@ def figure_preset(name: str) -> list[SweepSpec]:
     breaks down (at reflectivities below 1e-2, where plotted curves sit
     on the axis anyway).
     """
-    sodium = sodium_preset()
-    if name == "fig1":
-        return [
-            SweepSpec(
-                swept="theta",
-                grid=GridSpec(0.0, math.pi / 2, 200),
-                material=sodium,
-                d=1e-7,
-                omega_frac=1e-2,
-                p=0.5,
-            )
-        ]
-    if name == "fig2":
-        return [
-            SweepSpec(
-                swept="d",
-                grid=GridSpec(1e-7, 1e-6, 200),
-                material=sodium,
-                theta=0.0,
-                omega_frac=1e-1,
-                p=0.5,
-            )
-        ]
-    if name == "fig3":
-        return [
-            SweepSpec(
-                swept="p",
-                grid=GridSpec(0.0, 1.0, 200),
-                material=sodium,
-                theta=0.0,
-                omega_frac=1e-1,
-                d=1e-7,
-            )
-        ]
-    if name in ("fig4", "fig5"):
-        p = 0.0 if name == "fig4" else 1.0
-        return [
-            SweepSpec(
-                swept="omega",
-                grid=GridSpec(1e-3, 1e-1, 200, scale="log"),
-                material=sodium,
-                theta=0.0,
-                d=d,
-                p=p,
-                label=f"d{d:.0e}",
-            )
-            for d in (1e-7, 2e-7, 3e-7)
-        ]
-    raise ValueError(f"unknown figure preset {name!r}; choose from {FIGURE_NAMES}")
+    if name not in _FIGURES:
+        raise ValueError(f"unknown figure preset {name!r}; choose from {FIGURE_NAMES}")
+    swept, grid, fixed = _FIGURES[name]
+    if swept != "omega":
+        return [SweepSpec(swept, grid, sodium_preset(), **fixed)]
+    return [
+        SweepSpec(swept, grid, sodium_preset(), d=d, label=f"d{d:.0e}", **fixed)
+        for d in _SERIES_D
+    ]
 
 
 # -- CSV numbers ---------------------------------------------------------

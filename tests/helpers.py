@@ -10,8 +10,9 @@ its error bound from ``integrate_fuchs`` (converged or not), in the
 package's order of operations, so p < 1 values agree bit for bit.
 ``reference_validation`` solves the exact slab one setup at a time with
 ``cmath``, as the package did before its slab code became array-shaped,
-and ``reference_emit_csv``/``reference_emit_validation_csv`` are the
-per-value f-string emitters the ``%`` formatting replaced.
+and ``reference_emit_csv``/``reference_emit_validation_csv`` format
+every number on its own with an f-string, the bytes the package's
+blocked emitters and their array number kernel must reproduce.
 ``fuchs_ratio`` is the closed-form E3 - E5 series for sigma_d / sigma_Drude
 in ``mpmath``; it needs no quadrature, so it stays exact where Im w >> Re w.
 """

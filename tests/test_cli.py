@@ -107,6 +107,8 @@ class TestSweepCommand:
 
 
 _D_SWEEP = ["sweep", "--swept", "d", "--min", "1e-8", "--max", "1e-7", "--count", "3"]
+_W_SWEEP = ["sweep", "--swept", "d", "--count", "3", "--omega-frac", "1e-2", "--theta", "0",
+            "--p", "0.3"]
 
 
 @pytest.mark.parametrize(
@@ -117,8 +119,13 @@ _D_SWEEP = ["sweep", "--swept", "d", "--min", "1e-8", "--max", "1e-7", "--count"
         (_D_SWEEP + ["--theta", "0", "--omega-frac", "inf", "--p", "1.0"], False),
         (_D_SWEEP + ["--theta", "0", "--omega-frac", "1e-2", "--p", "1.5"], False),
         (_D_SWEEP + ["--theta", "0", "--omega-frac", "1e-2", "--p", "1.0"], True),
+        # |w| outside [1e-150, 1e150] at a grid end
+        (_W_SWEEP + ["--min", "1e199", "--max", "1e200"], False),
+        (_W_SWEEP + ["--min", "1e-300", "--max", "1e-299"], False),
+        (_W_SWEEP + ["--min", "1e300", "--max", "1e301"], False),
     ],
-    ids=["figure-tol-abc", "theta-nan", "omega-frac-inf", "p-1.5", "out-missing-dir"],
+    ids=["figure-tol-abc", "theta-nan", "omega-frac-inf", "p-1.5", "out-missing-dir",
+         "w-1e200", "w-1e-300", "w-1e301"],
 )
 def test_bad_input_is_usage_error(tmp_path, monkeypatch, capsys, argv, computes):
     """Bad values and an unwritable --out exit with code 2, not a traceback.

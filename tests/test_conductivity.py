@@ -126,6 +126,11 @@ class TestPhiInverse:
         asym = 1.0 - 3.0 * (1.0 - p) / (8.0 * w)
         assert abs(w * phi_inverse(complex(w), p) - asym) <= 1e-4
 
+    @pytest.mark.parametrize("w", [1e-300 + 0j, 1e200 + 0j])
+    def test_w_outside_normal_square_range_rejected(self, w):
+        with pytest.raises(ValueError, match=r"\|w\| must lie in \[1e-150, 1e\+150\]"):
+            phi_inverse(w, 0.3)
+
     def test_thin_limit_suppression(self):
         g = 0.01 * phi_inverse(0.01 + 0j, 0.0)
         assert 0.0 < g.real < 0.05
@@ -220,6 +225,14 @@ class TestSigmaD:
         assert res.sigma_d == drude * w * phi_inv
         assert res.quad_error_estimate == 1.5 * info.value.error_estimate / abs(w)
         assert res.quad_error_estimate > 1e-18
+
+    @pytest.mark.parametrize("d", [1e-300, 1e200])
+    def test_w_outside_normal_square_range_rejected(self, d):
+        """w*w would underflow to zero or overflow: a ValueError, not NaN or a crash."""
+        m = sodium_preset()
+        s = FilmSetup(d=d, theta=0.0, omega=1e-2 * m.omega_p, p=0.3)
+        with pytest.raises(ValueError, match=r"\|w\| must lie in \[1e-150, 1e\+150\]"):
+            sigma_d(m, s)
 
     @pytest.mark.parametrize("p", [0.0, 0.5, 1.0])
     def test_converged_points_say_so(self, p):

@@ -110,6 +110,23 @@ class TestThinImpedances:
         pair = thin_impedances(0j, 1e-7, 1e14, 0.0, kd_zero=True)
         assert math.isinf(abs(pair.z2))
 
+    @pytest.mark.parametrize(
+        "d, omega, theta",
+        [
+            (1e-7, 1e14, math.nan),
+            (1e-7, 1e14, 2.0),
+            (1e-7, 1e14, -0.1),
+            (1e-7, math.nan, 0.0),
+            (1e-7, math.inf, 0.0),
+            (math.inf, 1e14, 0.0),
+        ],
+        ids=["theta-nan", "theta-2", "theta-negative", "omega-nan", "omega-inf",
+             "d-inf"],
+    )
+    def test_out_of_domain_inputs_rejected(self, d, omega, theta):
+        with pytest.raises(ValueError):
+            thin_impedances(1e15 + 0j, d, omega, theta)
+
     def test_kd_correction_scale_at_sodium_point(self):
         """Full z2 differs from the long-wavelength one by the kd-term only."""
         m = sodium_preset()
@@ -166,6 +183,11 @@ class TestTraForFilm:
     def test_exact_grazing_endpoint(self):
         c = tra_for_film(SODIUM_SIGMA_FIG1, 1e-7, math.pi / 2)
         assert (c.T, c.R, c.A) == (0.0, 1.0, 0.0)
+
+    @pytest.mark.parametrize("d", [math.inf, np.array([1e-7, math.inf])], ids=["scalar", "array"])
+    def test_infinite_thickness_rejected(self, d):
+        with pytest.raises(ValueError, match="d must be positive and finite, got inf"):
+            tra_for_film(1e15, d, 0.0)
 
     def test_near_grazing_reflects(self):
         c = tra_for_film(SODIUM_SIGMA_FIG1, 1e-7, math.pi / 2 - 1e-6)

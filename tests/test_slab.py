@@ -55,6 +55,23 @@ class TestSlabWavevector:
         with pytest.raises(ValueError):
             LocalSlabParams(sigma_local=1e14 + 0j, d=1e-6, theta=0.0, omega=0.0)
 
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("sigma_local", complex(math.nan, 0.0), "sigma_local must be finite"),
+            ("sigma_local", complex(math.inf, 0.0), "sigma_local must be finite"),
+            ("d", math.inf, "d must be positive and finite"),
+            ("omega", math.inf, "omega must be finite"),
+        ],
+        ids=["sigma-nan", "sigma-inf", "d-inf", "omega-inf"],
+    )
+    def test_non_finite_fields_rejected(self, field, value, message):
+        """Not a confident mirror (0, 1, 0) from exact_tra, but a ValueError."""
+        fields = dict(sigma_local=1e14 + 0j, d=1e-6, theta=0.0, omega=1e14)
+        fields[field] = value
+        with pytest.raises(ValueError, match=message):
+            exact_tra(LocalSlabParams(**fields))
+
 
 class TestExactImpedances:
     def test_vacuum_product_identity(self):

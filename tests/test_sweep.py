@@ -12,6 +12,7 @@ import metalfilm.sweep
 from metalfilm import (
     FIGURE_NAMES,
     GridSpec,
+    MaterialParams,
     SweepRow,
     SweepSpec,
     ValidationRow,
@@ -256,7 +257,33 @@ class TestWorkCount:
         assert len(batches) <= ceiling
 
 
+_SODIUM = MaterialParams(omega_p=6.5e15, v_f=8.52e7, nu=6.5e12)
+_LOG_OMEGA = GridSpec(1e-3, 1e-1, 200, scale="log")
+EXPECTED_PRESETS = {
+    "fig1": [SweepSpec("theta", GridSpec(0.0, math.pi / 2, 200), _SODIUM, d=1e-7,
+                       omega_frac=1e-2, p=0.5, tol=1e-10, label="")],
+    "fig2": [SweepSpec("d", GridSpec(1e-7, 1e-6, 200), _SODIUM, theta=0.0,
+                       omega_frac=1e-1, p=0.5, tol=1e-10, label="")],
+    "fig3": [SweepSpec("p", GridSpec(0.0, 1.0, 200), _SODIUM, d=1e-7, theta=0.0,
+                       omega_frac=1e-1, tol=1e-10, label="")],
+    "fig4": [SweepSpec("omega", _LOG_OMEGA, _SODIUM, d=d, theta=0.0, p=0.0, tol=1e-10,
+                       label=label)
+             for d, label in ((1e-7, "d1e-07"), (2e-7, "d2e-07"), (3e-7, "d3e-07"))],
+    "fig5": [SweepSpec("omega", _LOG_OMEGA, _SODIUM, d=d, theta=0.0, p=1.0, tol=1e-10,
+                       label=label)
+             for d, label in ((1e-7, "d1e-07"), (2e-7, "d2e-07"), (3e-7, "d3e-07"))],
+}
+
+
 class TestFigurePresets:
+    def test_names(self):
+        assert FIGURE_NAMES == tuple(EXPECTED_PRESETS)
+
+    @pytest.mark.parametrize("name", list(EXPECTED_PRESETS))
+    def test_every_field(self, name):
+        """Each preset spec equals its literal: swept, grid, material and every fixed value."""
+        assert figure_preset(name) == EXPECTED_PRESETS[name]
+
     def test_fig1_parameters(self):
         (spec,) = figure_preset("fig1")
         assert spec.swept == "theta"
@@ -339,7 +366,7 @@ def _same_bytes(tmp_path, emit, reference, rows):
 
 
 class TestEmitterBytes:
-    """The one-format-string emitters write exactly the per-value f-string bytes."""
+    """The blocked emitters write exactly the per-value f-string bytes."""
 
     @pytest.mark.parametrize("name", ["fig1", "fig2", "fig3", "fig4", "fig5"])
     def test_figure_presets(self, tmp_path, name):
