@@ -17,6 +17,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from .materials import MaterialParams, sodium_preset
+from .quadrature import _check_tol
 from .slab import default_validation_setups, validate_thin_film
 from .sweep import (
     _SWEPT_CHOICES,
@@ -120,7 +121,7 @@ def build_parser() -> argparse.ArgumentParser:
         default="1e-3,1e-2,1e-1",
         help="comma-separated frequencies as fractions of omega_p",
     )
-    pv.add_argument("--tol", type=float, help="unused: p = 1 needs no quadrature")
+    pv.add_argument("--tol", type=float, help="must be > 0; unused: p = 1 needs no quadrature")
     _add_material_flags(pv)
 
     return parser
@@ -148,6 +149,8 @@ def _cmd_figure(args, parser) -> int:
 
 
 def _cmd_validate(args, parser) -> int:
+    if args.tol is not None:
+        _check_tol(args.tol)
     material = _material_from_args(args, parser)
     fracs = tuple(float(f) for f in args.omega_fracs.split(","))
     setups = default_validation_setups(

@@ -29,8 +29,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .materials import FilmSetup, MaterialParams, derive_bulk
-from .quadrature import QuadratureError, integrate_complex
+from .materials import FilmSetup, MaterialParams, _check_p, _require, derive_bulk
+from .quadrature import _TOL, QuadratureError, integrate_complex
 
 __all__ = [
     "ConductivityResult",
@@ -43,6 +43,7 @@ __all__ = [
 
 #: w*w, which 1/Phi divides by, must stay a normal double
 _W_ABS_MIN, _W_ABS_MAX = 1e-150, 1e150
+_W_ABS_RULE = f"|w| must lie in [{_W_ABS_MIN:g}, {_W_ABS_MAX:g}] so that w*w stays a normal double"
 
 
 @dataclass(frozen=True)
@@ -74,18 +75,12 @@ class ConductivityResult:
 
 
 def _check_w_abs(w: complex) -> None:
-    if not _W_ABS_MIN <= math.hypot(w.real, w.imag) <= _W_ABS_MAX:
-        raise ValueError(
-            f"|w| must lie in [{_W_ABS_MIN:g}, {_W_ABS_MAX:g}] so that w*w stays "
-            f"a normal double, got w={w!r}"
-        )
+    _require(_W_ABS_MIN <= math.hypot(w.real, w.imag) <= _W_ABS_MAX, _W_ABS_RULE, w)
 
 
 def _check_w_p(w: complex, p: float) -> None:
-    if not w.real > 0.0:
-        raise ValueError(f"requires Re(w) > 0 for convergence, got w={w!r}")
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"p must lie in [0, 1], got {p!r}")
+    _require(w.real > 0.0, "Re(w) must be > 0 for convergence", w)
+    _check_p(p)
 
 
 def drude_conductivity(m: MaterialParams, omega):
@@ -115,15 +110,14 @@ def fuchs_integrand(t, w: complex, p: float):
     """
     _check_w_p(complex(w), p)
     t = np.asarray(t, dtype=float)
-    if np.any(t < 1.0):
-        raise ValueError("t must be >= 1")
+    _require(t >= 1.0, "t must be >= 1", t)
     with np.errstate(over="ignore", under="ignore"):
         decay = np.exp(-w * t)
         out = (t**-3.0 - t**-5.0) * (1.0 - decay) / (1.0 - p * decay)
     return out if out.ndim else complex(out)
 
 
-def integrate_fuchs(w: complex, p: float, tol: float = 1e-10) -> tuple[complex, float]:
+def integrate_fuchs(w: complex, p: float, tol: float = _TOL) -> tuple[complex, float]:
     """Evaluate I(w, p) adaptively.
 
     Returns (value, error_estimate) with error_estimate <= tol*(|value|+1);
@@ -142,7 +136,7 @@ def integrate_fuchs(w: complex, p: float, tol: float = 1e-10) -> tuple[complex, 
         return (u - u * u * u) * (1.0 - decay) / (1.0 - p * decay)
 
     with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-        return integrate_complex(transformed, 0.0, 1.0, tol=float(tol), max_panels=10_000)
+        return integrate_complex(transformed, 0.0, 1.0, tol=float(tol))
 
 
 def _phi_inverse_from_integral(w: complex, p: float, integral: complex) -> complex:
@@ -150,7 +144,7 @@ def _phi_inverse_from_integral(w: complex, p: float, integral: complex) -> compl
     return 1.0 / w - 1.5 * (1.0 - p) * integral / (w * w)
 
 
-def phi_inverse(w: complex, p: float, tol: float = 1e-10) -> complex:
+def phi_inverse(w: complex, p: float, tol: float = _TOL) -> complex:
     """Size-effect factor 1/Phi(w); exactly 1/w for p = 1 (no quadrature)."""
     _check_w_p(complex(w), p)
     _check_w_abs(complex(w))
@@ -160,7 +154,7 @@ def phi_inverse(w: complex, p: float, tol: float = 1e-10) -> complex:
     return _phi_inverse_from_integral(w, p, integral)
 
 
-def sigma_d(m: MaterialParams, s: FilmSetup, tol: float = 1e-10) -> ConductivityResult:
+def sigma_d(m: MaterialParams, s: FilmSetup, tol: float = _TOL) -> ConductivityResult:
     """Thickness-averaged conductivity of the film described by ``s``.
 
     For p = 1 the result is exactly the bulk Drude value

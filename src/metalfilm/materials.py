@@ -10,6 +10,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 __all__ = [
     "C_LIGHT",
     "MaterialParams",
@@ -23,9 +25,32 @@ __all__ = [
 C_LIGHT = 2.99792458e10
 
 
-def _check_positive(name: str, value: float) -> None:
-    if not (math.isfinite(value) and value > 0.0):
-        raise ValueError(f"{name} must be positive and finite, got {value!r}")
+def _require(ok, rule: str, value, error: type[ValueError] = ValueError) -> None:
+    """Raise ``error("<rule>, got <value>")`` unless ``ok`` holds.
+
+    ``ok`` is a bool, or a bool array of ``value``'s shape: then the first
+    element where it is False is the value named.
+    """
+    if ok is True or (ok is not False and ok.all()):
+        return
+    first = np.asarray(value)[~np.asarray(ok)].flat[0].item()
+    raise error(f"{rule}, got {first!r}")
+
+
+def _check_positive(name: str, x) -> None:
+    _require((0.0 < x) & (x < math.inf), f"{name} must be positive and finite", x)
+
+
+def _check_p(p) -> None:
+    _require((0.0 <= p) & (p <= 1.0), "p must lie in [0, 1]", p)
+
+
+def _check_film(d, theta, omega=0.0, p=1.0) -> None:
+    """The FilmSetup rules, for scalars or numpy arrays (see FilmSetup)."""
+    _check_positive("d", d)
+    _require((0.0 <= theta) & (theta <= math.pi / 2), "theta must lie in [0, pi/2]", theta)
+    _require((0.0 <= omega) & (omega < math.inf), "omega must be finite and >= 0", omega)
+    _check_p(p)
 
 
 @dataclass(frozen=True)
@@ -99,13 +124,10 @@ class FilmSetup:
     p: float
 
     def __post_init__(self) -> None:
-        _check_positive("d", self.d)
-        if not (math.isfinite(self.theta) and 0.0 <= self.theta <= math.pi / 2):
-            raise ValueError(f"theta must lie in [0, pi/2], got {self.theta!r}")
-        if not (math.isfinite(self.omega) and self.omega >= 0.0):
-            raise ValueError(f"omega must be finite and >= 0, got {self.omega!r}")
-        if not (math.isfinite(self.p) and 0.0 <= self.p <= 1.0):
-            raise ValueError(f"p must lie in [0, 1], got {self.p!r}")
+        # _check_film's rules as plain comparisons: cheap for the usual valid setup
+        if not (0.0 < self.d < math.inf and 0.0 <= self.theta <= math.pi / 2
+                and 0.0 <= self.omega < math.inf and 0.0 <= self.p <= 1.0):
+            _check_film(self.d, self.theta, self.omega, self.p)
 
 
 def derive_bulk(m: MaterialParams) -> DerivedBulk:

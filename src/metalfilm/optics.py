@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .materials import C_LIGHT, _check_positive
+from .materials import C_LIGHT, _check_film, _require
 
 __all__ = [
     "GrazingIncidenceError",
@@ -40,7 +40,7 @@ class GrazingIncidenceError(ValueError):
 
 
 class PassivityError(ValueError):
-    """Re(B) < 0 would mean negative absorption in a passive film."""
+    """Re(B) < 0 would mean negative absorption in a passive film; NaN fails too."""
 
 
 @dataclass(frozen=True)
@@ -68,28 +68,18 @@ class OpticalCoefficients:
     A: float
 
 
-def _first(x: np.ndarray, mask: np.ndarray):
-    """The first element of ``x`` where ``mask`` holds, for error messages."""
-    return x[mask].flat[0].item()
-
-
 def b_factor(sigma, d, theta):
     """Film admittance B = 2*pi*d*sigma/(c*cos(theta)).
 
     Scalars or numpy arrays (broadcast); scalar input returns a complex.
-    Requires a finite d > 0 and 0 <= theta < pi/2; exactly pi/2 raises
+    d and theta obey the FilmSetup rules, except that theta = pi/2 raises
     GrazingIncidenceError so callers can switch to the analytic grazing
     limit.
     """
     d, theta = np.asarray(d, dtype=float), np.asarray(theta, dtype=float)
-    bad = ~((0.0 < d) & (d < math.inf))
-    if np.count_nonzero(bad):
-        raise ValueError(f"d must be positive and finite, got {_first(d, bad)!r}")
+    _check_film(d, theta)
     if np.count_nonzero(theta == math.pi / 2):
         raise GrazingIncidenceError("theta = pi/2: use the grazing limit (0, 1, 0)")
-    bad = ~((0.0 <= theta) & (theta < math.pi / 2))
-    if np.count_nonzero(bad):
-        raise ValueError(f"theta must lie in [0, pi/2), got {_first(theta, bad)!r}")
     b = 2.0 * math.pi * d * sigma / (C_LIGHT * np.cos(theta))
     return b if b.ndim else complex(b)
 
@@ -110,9 +100,8 @@ def _mirror_where(mask: np.ndarray, T, R, A):
 
 def _tra_arrays(b: np.ndarray):
     br, bi = b.real, b.imag
-    bad = br < 0.0
-    if np.count_nonzero(bad):
-        raise PassivityError(f"Re(B) must be >= 0, got B={_first(b, bad)!r}")
+    _require(br >= 0.0, "Re(B) must be >= 0", b, PassivityError)
+    _require(~np.isnan(bi), "Im(B) must not be NaN", b)
     with np.errstate(over="ignore", invalid="ignore"):
         bi2 = bi**2
         denom = (1.0 + br) ** 2 + bi2
@@ -129,7 +118,8 @@ def tra_from_b(b) -> OpticalCoefficients:
     T + R + A = 1 holds algebraically since |1+B|^2 = 1 + |B|^2 + 2*Re(B).
     R is computed as |B|^2/|1+B|^2 (identical to 1/|1+1/B|^2) so that
     B = 0 cleanly yields the transparent-film limit (1, 0, 0).  Any
-    element with Re(B) < 0 raises PassivityError.
+    element with Re(B) < 0 or NaN raises PassivityError, and one with a
+    NaN Im(B) raises ValueError.
     """
     return _coefficients(*_tra_arrays(np.asarray(b, dtype=complex)))
 
@@ -155,11 +145,7 @@ def thin_impedances(
     for the non-conducting open-circuit limit.  d, omega and theta obey
     the FilmSetup rules.
     """
-    _check_positive("d", d)
-    if not (math.isfinite(omega) and omega >= 0.0):
-        raise ValueError(f"omega must be finite and >= 0, got {omega!r}")
-    if not 0.0 <= theta <= math.pi / 2:
-        raise ValueError(f"theta must lie in [0, pi/2], got {theta!r}")
+    _check_film(d, theta, omega)
     sigma = complex(sigma)
     if kd_zero:
         if sigma == 0:

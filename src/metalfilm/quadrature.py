@@ -104,6 +104,13 @@ GAUSS_WEIGHTS = np.concatenate([_GAUSS_WEIGHTS_HALF[:0:-1], _GAUSS_WEIGHTS_HALF]
 
 #: uniform panels seeding the adaptive loop
 _INITIAL_PANELS = 8
+#: default relative tolerance and live-panel budget
+_TOL, _MAX_PANELS = 1e-10, 10_000
+
+
+def _check_tol(tol) -> None:
+    if not tol > 0.0:
+        raise ValueError(f"tol must be > 0, got {tol!r}")
 
 
 def _panel_rule(f, lefts: np.ndarray, rights: np.ndarray):
@@ -121,8 +128,8 @@ def integrate_complex(
     f: Callable[[np.ndarray], np.ndarray],
     a: float,
     b: float,
-    tol: float = 1e-10,
-    max_panels: int = 10_000,
+    tol: float = _TOL,
+    max_panels: int = _MAX_PANELS,
 ) -> tuple[complex, float]:
     """Integrate a complex-valued function over [a, b] adaptively.
 
@@ -154,8 +161,7 @@ def integrate_complex(
         if the budget is exhausted first; the exception carries the best
         estimate and its error estimate
     """
-    if not tol > 0.0:
-        raise ValueError(f"tol must be > 0, got {tol!r}")
+    _check_tol(tol)
     if b < a:
         raise ValueError(f"invalid interval [{a!r}, {b!r}]")
     edges = np.linspace(a, b, _INITIAL_PANELS + 1)

@@ -26,8 +26,8 @@ from typing import Iterable, NamedTuple
 import numpy as np
 
 from .conductivity import complex_thickness, drude_conductivity
-from .materials import C_LIGHT, FilmSetup, MaterialParams, _check_positive
-from .optics import ImpedancePair, OpticalCoefficients, _first, tra_for_film, tra_from_impedances
+from .materials import C_LIGHT, FilmSetup, MaterialParams, _check_film, _check_positive, _require
+from .optics import ImpedancePair, OpticalCoefficients, tra_for_film, tra_from_impedances
 
 __all__ = [
     "SlabResonanceError",
@@ -71,16 +71,10 @@ class LocalSlabParams:
     def __post_init__(self) -> None:
         sigma = np.asarray(self.sigma_local, dtype=complex)
         d, theta, omega = (np.asarray(x, dtype=float) for x in (self.d, self.theta, self.omega))
-        for bad, rule, x in (
-            (~np.isfinite(sigma), "sigma_local must be finite", sigma),
-            (sigma.real < 0.0, "Re(sigma_local) must be >= 0", sigma),
-            (~((0.0 < d) & (d < math.inf)), "d must be positive and finite", d),
-            (~((0.0 <= theta) & (theta <= math.pi / 2)), "theta must lie in [0, pi/2]", theta),
-            (~(omega > 0.0), "omega must be > 0", omega),
-            (np.isinf(omega), "omega must be finite", omega),
-        ):
-            if np.count_nonzero(bad):
-                raise ValueError(f"{rule}, got {_first(x, bad)!r}")
+        _require(np.isfinite(sigma), "sigma_local must be finite", sigma)
+        _require(sigma.real >= 0.0, "Re(sigma_local) must be >= 0", sigma)
+        _require(omega > 0.0, "omega must be > 0", omega)
+        _check_film(d, theta, omega)
 
 
 def slab_wavevector(lp: LocalSlabParams):
@@ -173,9 +167,7 @@ def validate_thin_film(m: MaterialParams, setups: Iterable[FilmSetup]) -> list[V
     d, theta, omega, p = np.array(
         [(s.d, s.theta, s.omega, s.p) for s in setups], dtype=float
     ).reshape(-1, 4).T
-    bad = p != 1.0
-    if np.count_nonzero(bad):
-        raise ValueError(f"oracle comparison requires p = 1, got p={_first(p, bad)!r}")
+    _require(p == 1.0, "oracle comparison requires p = 1", p)
     sigma = drude_conductivity(m, omega)
     lp = LocalSlabParams(sigma_local=sigma, d=d, theta=theta, omega=omega)
     w = complex_thickness(m, d, omega)
@@ -203,8 +195,7 @@ def default_validation_setups(
     The default range deliberately extends past the skin depth so the
     report shows the thin-film model breaking down.
     """
-    if d_count < 2:
-        raise ValueError("d_count must be >= 2")
+    _require(d_count >= 2, "d_count must be >= 2", d_count)
     _check_positive("d_min", d_min)
     _check_positive("d_max", d_max)
     ratio = (d_max / d_min) ** (1.0 / (d_count - 1))

@@ -27,8 +27,9 @@ from typing import Iterable, NamedTuple
 import numpy as np
 
 from .conductivity import _check_w_abs, complex_thickness, drude_conductivity, sigma_d
-from .materials import C_LIGHT, FilmSetup, MaterialParams, sodium_preset
+from .materials import C_LIGHT, FilmSetup, MaterialParams, _require, sodium_preset
 from .optics import tra_for_film
+from .quadrature import _TOL, _check_tol
 from .slab import ValidationRow
 
 __all__ = [
@@ -45,12 +46,6 @@ __all__ = [
 _SWEPT_CHOICES = ("theta", "d", "p", "omega")
 
 
-CSV_HEADER = "swept_name,swept_value,T,R,A,re_sigma_d,im_sigma_d,re_w,im_w,kd,quad_err"
-VALIDATION_CSV_HEADER = (
-    "swept_name,swept_value,T,R,A,re_sigma_d,im_sigma_d,re_w,im_w,kd,quad_err,"
-    "omega_over_omega_p,abs_dT,abs_dR,abs_dA,d_over_delta"
-)
-
 @dataclass(frozen=True)
 class GridSpec:
     """Evaluation grid for the swept parameter."""
@@ -61,10 +56,8 @@ class GridSpec:
     scale: str = "linear"
 
     def __post_init__(self) -> None:
-        if self.count < 2:
-            raise ValueError(f"count must be >= 2, got {self.count!r}")
-        if self.scale not in ("linear", "log"):
-            raise ValueError(f"scale must be 'linear' or 'log', got {self.scale!r}")
+        _require(self.count >= 2, "count must be >= 2", self.count)
+        _require(self.scale in ("linear", "log"), "scale must be 'linear' or 'log'", self.scale)
         if not (math.isfinite(self.min) and math.isfinite(self.max)):
             raise ValueError("grid bounds must be finite")
         if self.min > self.max:
@@ -98,12 +91,11 @@ class SweepSpec:
     theta: float | None = None
     omega_frac: float | None = None
     p: float | None = None
-    tol: float = 1e-10
+    tol: float = _TOL
     label: str = ""
 
     def __post_init__(self) -> None:
-        if self.swept not in _SWEPT_CHOICES:
-            raise ValueError(f"swept must be one of {_SWEPT_CHOICES}, got {self.swept!r}")
+        _require(self.swept in _SWEPT_CHOICES, f"swept must be one of {_SWEPT_CHOICES}", self.swept)
         fixed = {"d": self.d, "theta": self.theta, "omega_frac": self.omega_frac, "p": self.p}
         swept_field = "omega_frac" if self.swept == "omega" else self.swept
         for name, value in fixed.items():
@@ -112,8 +104,7 @@ class SweepSpec:
                     raise ValueError(f"{name} is swept and must not also be fixed")
             elif value is None:
                 raise ValueError(f"fixed value for {name} is required")
-        if not self.tol > 0.0:
-            raise ValueError(f"tol must be > 0, got {self.tol!r}")
+        _check_tol(self.tol)
         for value in (self.grid.min, self.grid.max):
             s = self.setup_for(value)
             _check_w_abs(complex_thickness(self.material, s.d, s.omega))
@@ -146,6 +137,11 @@ class SweepRow(NamedTuple):
     im_w: float
     kd: float
     quad_err: float
+
+
+CSV_HEADER = ",".join(SweepRow._fields)
+#: a validation row's d is its swept value, and its theta is not written
+VALIDATION_CSV_HEADER = ",".join(SweepRow._fields[:2] + ValidationRow._fields[1:-1])
 
 
 def run_sweep(spec: SweepSpec) -> list[SweepRow]:

@@ -123,9 +123,13 @@ _W_SWEEP = ["sweep", "--swept", "d", "--count", "3", "--omega-frac", "1e-2", "--
         (_W_SWEEP + ["--min", "1e199", "--max", "1e200"], False),
         (_W_SWEEP + ["--min", "1e-300", "--max", "1e-299"], False),
         (_W_SWEEP + ["--min", "1e300", "--max", "1e301"], False),
+        (["validate", "--tol", "-5"], False),
+        (["validate", "--tol", "nan"], False),
+        (["validate", "--tol", "0"], False),
     ],
     ids=["figure-tol-abc", "theta-nan", "omega-frac-inf", "p-1.5", "out-missing-dir",
-         "w-1e200", "w-1e-300", "w-1e301"],
+         "w-1e200", "w-1e-300", "w-1e301", "validate-tol-neg", "validate-tol-nan",
+         "validate-tol-0"],
 )
 def test_bad_input_is_usage_error(tmp_path, monkeypatch, capsys, argv, computes):
     """Bad values and an unwritable --out exit with code 2, not a traceback.

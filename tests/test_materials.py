@@ -1,13 +1,20 @@
 import math
+import re
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 from metalfilm import (
     C_LIGHT,
     FilmSetup,
+    LocalSlabParams,
     MaterialParams,
     derive_bulk,
+    sigma_d,
     sodium_preset,
+    thin_impedances,
+    tra_for_film,
 )
 
 
@@ -90,3 +97,53 @@ class TestFilmSetup:
         base.update(kwargs)
         with pytest.raises(ValueError):
             FilmSetup(**base)
+
+
+_GOOD = {"d": 1e-7, "theta": 0.3, "omega": 1e14, "p": 0.5}
+#: each film rule's message and the values that break it: NaN, +-inf, out of range
+_RULES = {
+    "d": ("d must be positive and finite", (math.nan, math.inf, -math.inf, 0.0)),
+    "theta": ("theta must lie in [0, pi/2]", (math.nan, math.inf, -math.inf, -0.1)),
+    "omega": ("omega must be finite and >= 0", (math.nan, math.inf, -math.inf, -1.0)),
+    "p": ("p must lie in [0, 1]", (math.nan, math.inf, -math.inf, 1.5)),
+}
+#: a second bad value, after the first one in the array cases
+_LATER = {"d": -1.0, "theta": 3.0, "omega": math.inf}
+#: entry point -> (call on a dict of film values, the values it takes, takes arrays)
+_ENTRY_POINTS = {
+    "FilmSetup": (lambda v: FilmSetup(**v), ("d", "theta", "omega", "p"), False),
+    "LocalSlabParams": (
+        lambda v: LocalSlabParams(sigma_local=1e14 + 0j, d=v["d"], theta=v["theta"],
+                                  omega=v["omega"]),
+        ("d", "theta", "omega"), True),
+    "tra_for_film": (lambda v: tra_for_film(1e15 + 1e15j, v["d"], v["theta"]),
+                     ("d", "theta"), True),
+    "thin_impedances": (lambda v: thin_impedances(1e15 + 1e15j, v["d"], v["omega"], v["theta"]),
+                        ("d", "theta", "omega"), False),
+    # a setup that skipped FilmSetup's checks: sigma_d checks p itself
+    "sigma_d": (lambda v: sigma_d(sodium_preset(), SimpleNamespace(**v)), ("p",), False),
+}
+
+
+def _rule_cases():
+    for param, (_, values) in _RULES.items():
+        for entry, (_, takes, arrays) in _ENTRY_POINTS.items():
+            if param not in takes:
+                continue
+            for bad in values:
+                yield pytest.param(entry, param, bad, False, id=f"{entry}-{param}-{bad}")
+                if arrays:
+                    yield pytest.param(entry, param, bad, True, id=f"{entry}-{param}-{bad}-array")
+
+
+@pytest.mark.parametrize("entry, param, bad, as_array", _rule_cases())
+def test_each_film_rule_has_one_message(entry, param, bad, as_array):
+    """Every entry point rejects NaN, +-inf and out-of-range film values with
+    the rule's one message; an array names its first bad element."""
+    rule = _RULES[param][0]
+    if entry == "LocalSlabParams" and param == "omega" and not bad > 0.0:
+        rule = "omega must be > 0"  # its stricter rule, checked first
+    values = dict(_GOOD)
+    values[param] = np.array([_GOOD[param], bad, _LATER[param]]) if as_array else bad
+    with pytest.raises(ValueError, match=re.escape(f"{rule}, got {bad!r}") + "$"):
+        _ENTRY_POINTS[entry][0](values)

@@ -69,6 +69,20 @@ class TestTraFromB:
         with pytest.raises(PassivityError):
             tra_from_b(-0.1 + 0.5j)
 
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: tra_for_film(math.nan, 1e-7, 0.0),
+            lambda: tra_from_b(complex(0.0, math.nan)),
+            lambda: tra_from_b(complex(math.nan, 0.0)),
+        ],
+        ids=["sigma-nan", "im-b-nan", "re-b-nan"],
+    )
+    def test_nan_admittance_rejected(self, call):
+        """A NaN part of B is an error, not NaN coefficients."""
+        with pytest.raises(ValueError):
+            call()
+
     def test_energy_conservation_random(self):
         """T + R + A = 1 and every coefficient in [0, 1] across the RHP."""
         rng = np.random.default_rng(123)
