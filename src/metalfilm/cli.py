@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 from .materials import MaterialParams, sodium_preset
@@ -107,8 +106,6 @@ def build_parser() -> argparse.ArgumentParser:
     pf = sub.add_parser("figure", help="run a bundled figure preset")
     pf.add_argument("name", choices=FIGURE_NAMES)
     pf.add_argument("--out", required=True, help="output CSV path (multi-series presets add a suffix per series)")
-    pf.add_argument("--tol", type=float, default=SweepSpec.tol,
-                    help="quadrature tolerance (default %(default)s)")
 
     pv = sub.add_parser("validate", help="thin-film vs exact-slab report (p=1)")
     pv.add_argument("--out", required=True, help="output CSV path")
@@ -121,7 +118,7 @@ def build_parser() -> argparse.ArgumentParser:
         default="1e-3,1e-2,1e-1",
         help="comma-separated frequencies as fractions of omega_p",
     )
-    pv.add_argument("--tol", type=float, help="must be > 0; unused: p = 1 needs no quadrature")
+    pv.add_argument("--tol", type=float, help="must be finite and > 0; unused: p = 1 needs no quadrature")
     _add_material_flags(pv)
 
     return parser
@@ -140,7 +137,7 @@ def _cmd_sweep(args, parser) -> int:
 
 
 def _cmd_figure(args, parser) -> int:
-    specs = [replace(s, tol=args.tol) for s in figure_preset(args.name)]
+    specs = figure_preset(args.name)
     out = Path(args.out)
     for spec in specs:
         path = _series_path(out, spec.label) if len(specs) > 1 else out

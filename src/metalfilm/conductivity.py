@@ -29,13 +29,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .materials import FilmSetup, MaterialParams, _check_p, _require, derive_bulk
+from .materials import (
+    FilmSetup, MaterialParams, _check_omega, _check_p, _check_positive, _require, derive_bulk,
+)
 from .quadrature import _TOL, QuadratureError, integrate_complex
 
 __all__ = [
     "ConductivityResult",
     "complex_thickness",
-    "fuchs_integrand",
     "integrate_fuchs",
     "phi_inverse",
     "sigma_d",
@@ -54,14 +55,12 @@ class ConductivityResult:
     ----------
     sigma_d : complex
         thickness-averaged conductivity, 1/s; Re(sigma_d) >= 0
-    phi_inverse : complex
-        the dimensionless size-effect factor 1/Phi(w)
     quad_error_estimate : float
         propagated quadrature error estimate on the dimensionless ratio
         sigma_d / (sigma_0 / (1 - i*omega*tau)); zero on the exact p = 1
         path.  An estimate, not a bound: in the oscillatory regime
-        (|Im w| >= 10 Re w) it can fall below the true error (ROADMAP.md,
-        item 1)
+        (|Im w| >= 10 Re w) it can fall below the true error (see the
+        README, "Library quick start")
     converged : bool
         False when the quadrature ran out of panels before reaching the
         tolerance; sigma_d is then its best estimate and
@@ -69,7 +68,6 @@ class ConductivityResult:
     """
 
     sigma_d: complex
-    phi_inverse: complex
     quad_error_estimate: float
     converged: bool
 
@@ -88,6 +86,7 @@ def drude_conductivity(m: MaterialParams, omega):
 
     ``omega`` may be a scalar or a numpy array.
     """
+    _check_omega(omega)
     der = derive_bulk(m)
     return der.sigma_0 / (1.0 - 1j * (omega * der.tau))
 
@@ -97,24 +96,10 @@ def complex_thickness(m: MaterialParams, d, omega):
 
     ``d`` and ``omega`` may be scalars or numpy arrays (broadcast).
     """
+    _check_positive("d", d)
+    _check_omega(omega)
     der = derive_bulk(m)
     return (d / der.l) * (1.0 - 1j * (omega * der.tau))
-
-
-def fuchs_integrand(t, w: complex, p: float):
-    """Kernel (1/t^3 - 1/t^5)*(1 - e^{-wt})/(1 - p e^{-wt}) for t >= 1.
-
-    Accepts a scalar or array t.  The denominator is bounded below by
-    1 - p for Re(w) > 0, so the value is always finite; it vanishes at
-    the endpoint t = 1 where the algebraic prefactor has its root.
-    """
-    _check_w_p(complex(w), p)
-    t = np.asarray(t, dtype=float)
-    _require(t >= 1.0, "t must be >= 1", t)
-    with np.errstate(over="ignore", under="ignore"):
-        decay = np.exp(-w * t)
-        out = (t**-3.0 - t**-5.0) * (1.0 - decay) / (1.0 - p * decay)
-    return out if out.ndim else complex(out)
 
 
 def integrate_fuchs(w: complex, p: float, tol: float = _TOL) -> tuple[complex, float]:
@@ -122,7 +107,7 @@ def integrate_fuchs(w: complex, p: float, tol: float = _TOL) -> tuple[complex, f
 
     Returns (value, error_estimate) with error_estimate <= tol*(|value|+1);
     error_estimate is the quadrature's error estimate, not a bound on the
-    true error (ROADMAP.md, item 1).
+    true error (see the README, "Library quick start").
     Raises QuadratureError (carrying the best estimate) if the panel
     budget is exhausted, and ValueError for Re(w) <= 0.
     """
@@ -168,9 +153,7 @@ def sigma_d(m: MaterialParams, s: FilmSetup, tol: float = _TOL) -> ConductivityR
     w = complex_thickness(m, s.d, s.omega)
     _check_w_abs(w)
     if s.p == 1.0:
-        return ConductivityResult(
-            sigma_d=drude, phi_inverse=1.0 / w, quad_error_estimate=0.0, converged=True
-        )
+        return ConductivityResult(sigma_d=drude, quad_error_estimate=0.0, converged=True)
     try:
         integral, int_err = integrate_fuchs(w, s.p, tol)
         converged = True
@@ -181,7 +164,6 @@ def sigma_d(m: MaterialParams, s: FilmSetup, tol: float = _TOL) -> ConductivityR
     ratio_err = 1.5 * (1.0 - s.p) * int_err / abs(w)
     return ConductivityResult(
         sigma_d=drude * w * phi_inv,
-        phi_inverse=phi_inv,
         quad_error_estimate=ratio_err,
         converged=converged,
     )

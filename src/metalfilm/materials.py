@@ -45,11 +45,15 @@ def _check_p(p) -> None:
     _require((0.0 <= p) & (p <= 1.0), "p must lie in [0, 1]", p)
 
 
+def _check_omega(omega) -> None:
+    _require((0.0 <= omega) & (omega < math.inf), "omega must be finite and >= 0", omega)
+
+
 def _check_film(d, theta, omega=0.0, p=1.0) -> None:
     """The FilmSetup rules, for scalars or numpy arrays (see FilmSetup)."""
     _check_positive("d", d)
     _require((0.0 <= theta) & (theta <= math.pi / 2), "theta must lie in [0, pi/2]", theta)
-    _require((0.0 <= omega) & (omega < math.inf), "omega must be finite and >= 0", omega)
+    _check_omega(omega)
     _check_p(p)
 
 

@@ -20,6 +20,7 @@ positivity) rather than trusting the frozen digits.
 
 from __future__ import annotations
 
+import math
 from typing import Callable
 
 import numpy as np
@@ -104,13 +105,13 @@ GAUSS_WEIGHTS = np.concatenate([_GAUSS_WEIGHTS_HALF[:0:-1], _GAUSS_WEIGHTS_HALF]
 
 #: uniform panels seeding the adaptive loop
 _INITIAL_PANELS = 8
-#: default relative tolerance and live-panel budget
+#: default relative tolerance; budget of live panels
 _TOL, _MAX_PANELS = 1e-10, 10_000
 
 
 def _check_tol(tol) -> None:
-    if not tol > 0.0:
-        raise ValueError(f"tol must be > 0, got {tol!r}")
+    if not 0.0 < tol < math.inf:
+        raise ValueError(f"tol must be finite and > 0, got {tol!r}")
 
 
 def _panel_rule(f, lefts: np.ndarray, rights: np.ndarray):
@@ -129,7 +130,6 @@ def integrate_complex(
     a: float,
     b: float,
     tol: float = _TOL,
-    max_panels: int = _MAX_PANELS,
 ) -> tuple[complex, float]:
     """Integrate a complex-valued function over [a, b] adaptively.
 
@@ -139,12 +139,10 @@ def integrate_complex(
         vectorized integrand; receives a 1-D float array strictly inside
         (a, b) and returns a complex array of the same shape
     a, b : float
-        integration limits, a <= b
+        finite integration limits, a <= b
     tol : float
-        relative tolerance; iteration stops once the summed error
-        estimate is <= tol*(|value| + 1)
-    max_panels : int
-        subdivision budget (number of simultaneously live panels)
+        finite relative tolerance > 0; iteration stops once the summed
+        error estimate is <= tol*(|value| + 1)
 
     Returns
     -------
@@ -152,17 +150,17 @@ def integrate_complex(
         complex integral and the final summed error estimate, which
         satisfies error_estimate <= tol*(|value| + 1).  It is an
         estimate, not a bound: on an oscillating integrand a panel's
-        Kronrod-Gauss difference can fall below its real error
-        (ROADMAP.md, item 1)
+        Kronrod-Gauss difference can fall below its real error (see the
+        README, "Library quick start")
 
     Raises
     ------
     QuadratureError
-        if the budget is exhausted first; the exception carries the best
-        estimate and its error estimate
+        if the budget of _MAX_PANELS live panels is exhausted first; the
+        exception carries the best estimate and its error estimate
     """
     _check_tol(tol)
-    if b < a:
+    if not -math.inf < a <= b < math.inf:
         raise ValueError(f"invalid interval [{a!r}, {b!r}]")
     edges = np.linspace(a, b, _INITIAL_PANELS + 1)
     lefts, rights = edges[:-1].copy(), edges[1:].copy()
@@ -174,10 +172,10 @@ def integrate_complex(
         target = tol * (abs(value) + 1.0)
         if err <= target:
             return value, err
-        room = max_panels - len(vals)
+        room = _MAX_PANELS - len(vals)
         if room <= 0:
             raise QuadratureError(
-                f"quadrature did not reach tol={tol:g} within {max_panels} panels "
+                f"quadrature did not reach tol={tol:g} within {_MAX_PANELS} panels "
                 f"(best estimate {value!r}, error {err:g})",
                 value,
                 err,

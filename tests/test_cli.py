@@ -126,10 +126,12 @@ _W_SWEEP = ["sweep", "--swept", "d", "--count", "3", "--omega-frac", "1e-2", "--
         (["validate", "--tol", "-5"], False),
         (["validate", "--tol", "nan"], False),
         (["validate", "--tol", "0"], False),
+        (["validate", "--tol", "inf"], False),
+        (_D_SWEEP + ["--theta", "0", "--omega-frac", "1e-2", "--p", "0.5", "--tol", "inf"], False),
     ],
     ids=["figure-tol-abc", "theta-nan", "omega-frac-inf", "p-1.5", "out-missing-dir",
          "w-1e200", "w-1e-300", "w-1e301", "validate-tol-neg", "validate-tol-nan",
-         "validate-tol-0"],
+         "validate-tol-0", "validate-tol-inf", "sweep-tol-inf"],
 )
 def test_bad_input_is_usage_error(tmp_path, monkeypatch, capsys, argv, computes):
     """Bad values and an unwritable --out exit with code 2, not a traceback.

@@ -10,12 +10,14 @@ from metalfilm import (
     FilmSetup,
     LocalSlabParams,
     MaterialParams,
+    complex_thickness,
     derive_bulk,
     sigma_d,
     sodium_preset,
     thin_impedances,
     tra_for_film,
 )
+from metalfilm.conductivity import drude_conductivity
 
 
 class TestDeriveBulk:
@@ -122,6 +124,10 @@ _ENTRY_POINTS = {
                         ("d", "theta", "omega"), False),
     # a setup that skipped FilmSetup's checks: sigma_d checks p itself
     "sigma_d": (lambda v: sigma_d(sodium_preset(), SimpleNamespace(**v)), ("p",), False),
+    "complex_thickness": (lambda v: complex_thickness(sodium_preset(), v["d"], v["omega"]),
+                          ("d", "omega"), True),
+    "drude_conductivity": (lambda v: drude_conductivity(sodium_preset(), v["omega"]),
+                           ("omega",), True),
 }
 
 

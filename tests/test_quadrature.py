@@ -83,11 +83,24 @@ class TestIntegrateComplex:
         with pytest.raises(ValueError):
             integrate_complex(lambda x: x, 0.0, 1.0, tol=0.0)
 
-    def test_budget_failure_carries_best_estimate(self):
+    @pytest.mark.parametrize("tol", [np.inf, np.nan, -1.0])
+    def test_nonfinite_or_negative_tolerance_rejected(self, tol):
+        with pytest.raises(ValueError, match="tol must be finite and > 0"):
+            integrate_complex(lambda x: x, 0.0, 1.0, tol=tol)
+
+    @pytest.mark.parametrize("a, b", [(0.0, np.nan), (np.nan, 1.0), (0.0, np.inf), (-np.inf, 0.0)])
+    def test_nonfinite_bound_rejected_before_any_evaluation(self, a, b):
+        calls = []
+        with pytest.raises(ValueError, match="invalid interval"):
+            integrate_complex(lambda x: calls.append(x) or x + 0j, a, b)
+        assert calls == []
+
+    def test_budget_failure_carries_best_estimate(self, monkeypatch):
         """Exhausting the panel budget raises, but the estimate is usable."""
+        monkeypatch.setattr(metalfilm.quadrature, "_MAX_PANELS", 12)
         a = 2000j
         with pytest.raises(QuadratureError) as info:
-            integrate_complex(lambda x: np.exp(a * x), 0.0, 1.0, tol=1e-13, max_panels=12)
+            integrate_complex(lambda x: np.exp(a * x), 0.0, 1.0, tol=1e-13)
         exc = info.value
         exact = (np.exp(a) - 1.0) / a
         assert np.isfinite(exc.error_estimate) and exc.error_estimate > 0
@@ -95,7 +108,7 @@ class TestIntegrateComplex:
         assert abs(exc.value - exact) <= 10 * exc.error_estimate
 
     def test_budget_caps_the_split(self, monkeypatch):
-        """More panels qualify than fit: the largest split, never past max_panels."""
+        """More panels qualify than fit: the largest split, never past _MAX_PANELS."""
         live = []
         original = metalfilm.quadrature._panel_rule
 
@@ -106,19 +119,21 @@ class TestIntegrateComplex:
             return original(f, lefts, rights)
 
         monkeypatch.setattr(metalfilm.quadrature, "_panel_rule", counted)
+        monkeypatch.setattr(metalfilm.quadrature, "_MAX_PANELS", 20)
         a = 2000j
         with pytest.raises(QuadratureError) as info:
-            integrate_complex(lambda x: np.exp(a * x), 0.0, 1.0, tol=1e-13, max_panels=20)
+            integrate_complex(lambda x: np.exp(a * x), 0.0, 1.0, tol=1e-13)
         # 8 -> 16 splits all eight; 16 -> 20 needs the cap, since every
         # panel still sits far above its share of the target
         assert live == [8, 16, 20]
         exc = info.value
         assert np.isfinite(exc.value) and np.isfinite(exc.error_estimate)
 
-    def test_nan_integrand_ends_in_budget_failure(self):
+    def test_nan_integrand_ends_in_budget_failure(self, monkeypatch):
         """A NaN error still counts as too large, so the loop cannot stall."""
+        monkeypatch.setattr(metalfilm.quadrature, "_MAX_PANELS", 64)
         with pytest.raises(QuadratureError):
-            integrate_complex(lambda x: np.full(x.shape, np.nan + 0j), 0.0, 1.0, max_panels=64)
+            integrate_complex(lambda x: np.full(x.shape, np.nan + 0j), 0.0, 1.0)
 
     def test_determinism(self):
         f = lambda x: np.exp((-1.0 + 7j) * x) / (1.0 + x**2)
