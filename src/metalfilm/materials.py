@@ -59,7 +59,8 @@ def _check_film(d, theta, omega=0.0, p=1.0) -> None:
 
 @dataclass(frozen=True)
 class MaterialParams:
-    """Bulk properties of a free-electron metal.
+    """Bulk properties of a free-electron metal; they and the quantities
+    of :class:`DerivedBulk` must be positive and finite.
 
     Attributes
     ----------
@@ -79,6 +80,12 @@ class MaterialParams:
         _check_positive("omega_p", self.omega_p)
         _check_positive("v_f", self.v_f)
         _check_positive("nu", self.nu)
+        try:
+            derived = vars(derive_bulk(self))
+        except OverflowError:  # omega_p**2 past the largest double
+            derived = {"sigma_0": math.inf}
+        for name, value in derived.items():
+            _check_positive(name, value)
 
 
 @dataclass(frozen=True)

@@ -11,10 +11,12 @@ and imposing the antisymmetric (E(0) = -E(d), H(0) = H(d)) or symmetric
     z1 = -(i*k/q) * tan(q*d/2),      z2 = (i*k/q) * cot(q*d/2).
 
 These hold at arbitrary kd and qd, so they validate the thin-film route
-inside its stated domain (|q|d << 1, kd << 1).  The comparison is only
-meaningful for specular surfaces (p = 1), where the film conductivity
-reduces to the local Drude value; for p < 1 the surface kinetics has no
-local-slab counterpart.
+inside its stated domain (|q|d << 1, kd << 1).  A tan/cot pole (a lossless
+slab of n half-waves) is a regular point of T, R and A: the impedance is
+infinite and its reflection factor takes the open-circuit limit 1, so no
+input raises.  The comparison is only meaningful for specular surfaces
+(p = 1), where the film conductivity reduces to the local Drude value;
+for p < 1 the surface kinetics has no local-slab counterpart.
 """
 
 from __future__ import annotations
@@ -30,7 +32,6 @@ from .materials import C_LIGHT, FilmSetup, MaterialParams, _check_film, _check_p
 from .optics import ImpedancePair, OpticalCoefficients, tra_for_film, tra_from_impedances
 
 __all__ = [
-    "SlabResonanceError",
     "LocalSlabParams",
     "ValidationRow",
     "slab_wavevector",
@@ -39,18 +40,6 @@ __all__ = [
     "validate_thin_film",
     "default_validation_setups",
 ]
-
-#: |cos| or |sin| of q*d/2 below this threshold counts as a slab resonance
-RESONANCE_THRESHOLD = 1e-12
-
-
-class SlabResonanceError(ValueError):
-    """q*d/2 sits at a pole of tan/cot (lossless slab resonance)."""
-
-    def __init__(self, message: str, qd_half: complex):
-        super().__init__(message)
-        self.qd_half = qd_half
-
 
 @dataclass(frozen=True)
 class LocalSlabParams:
@@ -93,34 +82,24 @@ def slab_wavevector(lp: LocalSlabParams):
 
 
 def _impedances_from_q(q, k, d) -> ImpedancePair:
-    x = np.asarray(q, dtype=complex) * d / 2.0
-    # Resonances require x near the real axis; for |Im x| >= 30 the
-    # trig magnitudes are >= sinh(30) and cosh/sinh would overflow anyway.
-    near = np.abs(x.imag) < 30.0
-    with np.errstate(over="ignore", invalid="ignore"):
-        tan_pole = near & (np.abs(np.cos(x)) < RESONANCE_THRESHOLD)
-        cot_pole = near & (np.abs(np.sin(x)) < RESONANCE_THRESHOLD)
-    pole = tan_pole | cot_pole
-    if np.count_nonzero(pole):
-        i = np.flatnonzero(pole)[0]
-        at = x.flat[i].item()
-        raise SlabResonanceError(f"{'tan' if tan_pole.flat[i] else 'cot'} pole at q*d/2 = {at!r}", at)
-    t = np.tan(x)
-    ik_q = 1j * k / q
-    z1, z2 = -ik_q * t, ik_q / t
-    return ImpedancePair(z1=z1, z2=z2) if x.ndim else ImpedancePair(z1=complex(z1), z2=complex(z2))
+    q = np.asarray(q, dtype=complex)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        t = np.tan(q * d / 2.0)
+        ik_q = 1j * k / q
+        z1 = np.where(q == 0.0, -0.5j * k * d, -ik_q * t)
+        z2 = np.where(t == 0.0, np.inf, ik_q / t)
+    return ImpedancePair(z1=z1, z2=z2) if t.ndim else ImpedancePair(z1=complex(z1), z2=complex(z2))
 
 
 def exact_impedances(lp: LocalSlabParams) -> ImpedancePair:
     """Closed-form slab impedances, valid at arbitrary kd and qd.
 
     Both impedances are odd in q, so the branch choice of
-    :func:`slab_wavevector` does not affect them.  Raises
-    SlabResonanceError at a tan/cot pole, reporting the location of the
-    first slab that sits on one.
+    :func:`slab_wavevector` does not affect them.  Where the formula is
+    0/0 or 1/0 its limit is taken: z1 = -i*k*d/2 where q = 0, z2 = inf where
+    tan(q*d/2) underflows to 0.  No tan/cot pole raises.
     """
-    q = slab_wavevector(lp)
-    return _impedances_from_q(q, lp.omega / C_LIGHT, lp.d)
+    return _impedances_from_q(slab_wavevector(lp), lp.omega / C_LIGHT, lp.d)
 
 
 def exact_tra(lp: LocalSlabParams) -> OpticalCoefficients:
@@ -157,27 +136,29 @@ def validate_thin_film(m: MaterialParams, setups: Iterable[FilmSetup]) -> list[V
     """Compare the thin-film coefficients with the exact slab solution.
 
     Every setup must have p = 1 (only specular surfaces admit a local
-    oracle) and omega > 0; both are checked before anything is computed.
-    The conductivity is then the bulk Drude value, and both sides are
-    evaluated as arrays over all setups.  Deviations are reported as
-    data, not failures: the report is what documents where the thin-film
-    model breaks down.  d_over_delta is d*Im(q), the thickness in units
-    of the actual field penetration depth at that frequency.
+    oracle), omega > 0 and finite q*d, w and kd; all are checked before
+    either side is computed.  The conductivity is then the bulk Drude
+    value, and both sides are evaluated as arrays over all setups.
+    Deviations are reported as data, not failures: the report is what
+    documents where the thin-film model breaks down.  d_over_delta is
+    d*Im(q), the thickness in units of the actual field penetration
+    depth at that frequency.
     """
-    d, theta, omega, p = np.array(
-        [(s.d, s.theta, s.omega, s.p) for s in setups], dtype=float
-    ).reshape(-1, 4).T
+    fields = [(s.d, s.theta, s.omega, s.p) for s in setups]
+    d, theta, omega, p = np.array(fields, dtype=float).reshape(-1, 4).T
     _require(p == 1.0, "oracle comparison requires p = 1", p)
     sigma = drude_conductivity(m, omega)
     lp = LocalSlabParams(sigma_local=sigma, d=d, theta=theta, omega=omega)
-    w = complex_thickness(m, d, omega)
+    with np.errstate(over="ignore", invalid="ignore"):
+        q, w, kd = slab_wavevector(lp), complex_thickness(m, d, omega), omega * d / C_LIGHT
+        _require(np.isfinite(q * d) & np.isfinite(w) & np.isfinite(kd), "q*d, w and kd must be finite", d)
     thin = tra_for_film(sigma, d, theta)
     exact = exact_tra(lp)
     columns = (
         d, thin.T, thin.R, thin.A, sigma.real, sigma.imag, w.real, w.imag,
-        omega * d / C_LIGHT, np.zeros(d.shape), omega / m.omega_p,
+        kd, np.zeros(d.shape), omega / m.omega_p,
         np.abs(thin.T - exact.T), np.abs(thin.R - exact.R), np.abs(thin.A - exact.A),
-        d * slab_wavevector(lp).imag, theta,
+        d * q.imag, theta,
     )
     return [ValidationRow(*row) for row in zip(*(c.tolist() for c in columns))]
 

@@ -13,7 +13,9 @@ package's order of operations, so p < 1 values agree bit for bit.
 and ``reference_emit_csv``/``reference_emit_validation_csv`` format
 every number on its own with an f-string, the bytes the package's
 blocked emitters and their array number kernel must reproduce.
-``fuchs_ratio`` is the closed-form E3 - E5 series for sigma_d / sigma_Drude
+``airy_slab_tra`` is a second, independent exact slab: the Airy
+transfer formula in ``mpmath``, exact at tan/cot poles and in the thin
+limit.  ``fuchs_ratio`` is the closed-form E3 - E5 series for sigma_d / sigma_Drude
 in ``mpmath``; it needs no quadrature, so it stays exact where Im w >> Re w.
 """
 
@@ -27,7 +29,6 @@ import numpy as np
 from metalfilm import (
     C_LIGHT,
     QuadratureError,
-    SlabResonanceError,
     SweepRow,
     ValidationRow,
     complex_thickness,
@@ -153,19 +154,36 @@ def _p_factor(z, cos_theta):
 def _slab_tra(q, d, theta, omega):
     """(T, R, A) of one uniform slab from z1 = -(ik/q)tan(qd/2), z2 = (ik/q)cot(qd/2)."""
     k = omega / C_LIGHT
-    x = q * d / 2.0
-    if abs(x.imag) < 30.0:
-        if abs(cmath.cos(x)) < 1e-12:
-            raise SlabResonanceError(f"tan pole at q*d/2 = {x!r}", x)
-        if abs(cmath.sin(x)) < 1e-12:
-            raise SlabResonanceError(f"cot pole at q*d/2 = {x!r}", x)
-    t = cmath.tan(x)
+    t = cmath.tan(q * d / 2.0)
     ct = math.cos(theta)
     p1 = _p_factor(-(1j * k / q) * t, ct)
     p2 = _p_factor((1j * k / q) / t, ct)
     T = 0.25 * abs(p1 - p2) ** 2
     R = 0.25 * abs(p1 + p2) ** 2
     return T, R, 1.0 - T - R
+
+
+def airy_slab_tra(sigma, d, theta, omega):
+    """(T, R, A) of one uniform slab from the Airy transfer formula, 50 digits.
+
+    With k0 = k*cos(theta) outside, q inside, r = (k0 - q)/(k0 + q) and
+    e = e^{2iqd}, the slab's amplitudes are
+
+        t = (1 - r^2) e^{iqd} / (1 - r^2 e),   r_slab = r (1 - e) / (1 - r^2 e).
+
+    Both are multiplied through by (k0 + q)^2 and 1 - e is written as
+    -expm1(2iqd), so a thin slab does not cancel.  Shares no code with
+    the impedance route: no tan, no cot, no reflection factors.
+    """
+    with mpmath.workdps(50):
+        k = mpmath.mpf(omega) / C_LIGHT
+        k0 = k * mpmath.cos(mpmath.mpf(theta))
+        q = mpmath.sqrt(k0**2 + 4j * mpmath.pi * omega * mpmath.mpc(sigma) / mpmath.mpf(C_LIGHT) ** 2)
+        em1 = mpmath.expm1(2j * q * d)
+        den = 4 * k0 * q - (k0 - q) ** 2 * em1
+        T = abs(4 * k0 * q * mpmath.exp(1j * q * d) / den) ** 2
+        R = abs((k0**2 - q**2) * em1 / den) ** 2
+        return float(T), float(R), float(1 - T - R)
 
 
 def reference_validation(m, setups):

@@ -1,12 +1,16 @@
+import contextlib
+import io
 import math
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import metalfilm.cli
 import metalfilm.slab
-from metalfilm import GridSpec, SweepSpec, emit_csv, run_sweep, sodium_preset
+from metalfilm import GridSpec, SweepSpec, emit_csv, run_sweep, sodium_preset, validate_thin_film
 from metalfilm.cli import load_config, main
-from metalfilm.sweep import CSV_HEADER, VALIDATION_CSV_HEADER
+from metalfilm.sweep import _SWEPT_CHOICES, CSV_HEADER, VALIDATION_CSV_HEADER
 
 
 class TestFigureCommand:
@@ -107,6 +111,14 @@ class TestSweepCommand:
 
 
 _D_SWEEP = ["sweep", "--swept", "d", "--min", "1e-8", "--max", "1e-7", "--count", "3"]
+#: explicit materials whose sigma_0 overflows, l underflows to 0, tau overflows
+_BAD_MATERIALS = {
+    "sigma0-overflow": ["--omega-p=1e200", "--v-f=1e8", "--nu=1e10"],
+    "l-underflow": ["--omega-p=1e15", "--v-f=1e-300", "--nu=1e300"],
+    "tau-overflow": ["--omega-p=1e15", "--v-f=1e8", "--nu=1e-320"],
+}
+_COMMANDS = {"sweep": _D_SWEEP + ["--theta", "0", "--omega-frac", "1e-2", "--p", "1"],
+             "validate": ["validate"]}
 _W_SWEEP = ["sweep", "--swept", "d", "--count", "3", "--omega-frac", "1e-2", "--theta", "0",
             "--p", "0.3"]
 
@@ -128,10 +140,12 @@ _W_SWEEP = ["sweep", "--swept", "d", "--count", "3", "--omega-frac", "1e-2", "--
         (["validate", "--tol", "0"], False),
         (["validate", "--tol", "inf"], False),
         (_D_SWEEP + ["--theta", "0", "--omega-frac", "1e-2", "--p", "0.5", "--tol", "inf"], False),
+        *((command + flags, False) for flags in _BAD_MATERIALS.values() for command in _COMMANDS.values()),
     ],
     ids=["figure-tol-abc", "theta-nan", "omega-frac-inf", "p-1.5", "out-missing-dir",
          "w-1e200", "w-1e-300", "w-1e301", "validate-tol-neg", "validate-tol-nan",
-         "validate-tol-0", "validate-tol-inf", "sweep-tol-inf"],
+         "validate-tol-0", "validate-tol-inf", "sweep-tol-inf",
+         *(f"{command}-{name}" for name in _BAD_MATERIALS for command in _COMMANDS)],
 )
 def test_bad_input_is_usage_error(tmp_path, monkeypatch, capsys, argv, computes):
     """Bad values and an unwritable --out exit with code 2, not a traceback.
@@ -141,6 +155,7 @@ def test_bad_input_is_usage_error(tmp_path, monkeypatch, capsys, argv, computes)
     """
     runs = []
     monkeypatch.setattr(metalfilm.cli, "run_sweep", lambda spec: runs.append(spec) or run_sweep(spec))
+    monkeypatch.setattr(metalfilm.cli, "validate_thin_film", lambda *a: runs.append(a) or validate_thin_film(*a))
     out = tmp_path / "missing" / "x.csv" if computes else tmp_path / "x.csv"
     with pytest.raises(SystemExit) as info:
         main(argv + ["--out", str(out)])
@@ -282,3 +297,103 @@ class TestValidateCommand:
         assert info.value.code == 2
         assert "omega must be > 0" in capsys.readouterr().err
         assert calls == [] and not out.exists()
+
+
+def _mostly(usual, rare):
+    """Draws from ``usual`` seven times in eight, else from ``rare``."""
+    return st.sampled_from((usual,) * 7 + (rare,)).flatmap(lambda strategy: strategy)
+
+
+#: NaN, +-inf, signed zeros, a negative, subnormals, the smallest normal and huge values.  Arbitrary
+#: doubles are left out: a valid but large one, such as omega_frac = 6e16 at p < 1, costs the
+#: quadrature its whole panel budget, ~0.1 s a row.
+_SPECIAL_DOUBLES = (math.nan, math.inf, -math.inf, 0.0, -0.0, -1.0, 5e-324, 1e-310,
+                    2.2250738585072014e-308, 1e-300, 1e300, 1.7976931348623157e308)
+
+
+def _any_double(*typical):
+    """Mostly a typical value, else a special double."""
+    return _mostly(st.sampled_from(typical), st.sampled_from(_SPECIAL_DOUBLES))
+
+
+def _flags(**values):
+    # "--key=value" keeps a negative value from reading as a flag; None leaves the flag out
+    return [f"--{key.replace('_', '-')}={value!r}" for key, value in values.items() if value is not None]
+
+
+#: typical values of each sweep parameter; omega is a fraction of omega_p
+_SWEEP_VALUES = {"d": (1e-8, 1e-7, 1e-6), "theta": (0.0, 0.7, math.pi / 2),
+                 "omega_frac": (1e-3, 1e-2, 0.3, 2.0), "p": (0.0, 0.5, 1.0)}
+#: grid sizes; huge grids are a separate question and must not be allocated here
+_COUNT = _mostly(st.integers(2, 40), st.integers(-1, 1))
+#: never so small a tolerance that the quadrature runs out of panels: that costs 70 ms an integral
+_TOL = _mostly(st.sampled_from((None, 1e-10, 1e-6, 1e300)), st.sampled_from((0.0, -1e-10, math.nan, math.inf)))
+
+
+@st.composite
+def _material(draw):
+    """No material flags (sodium), or all three explicit."""
+    if draw(st.booleans()):
+        return []
+    return _flags(omega_p=draw(_any_double(6.5e15, 1.37e16)), v_f=draw(_any_double(8.52e7, 1.4e8)),
+                  nu=draw(_any_double(6.5e12, 4.1e13)))
+
+
+@st.composite
+def _sweep_argv(draw):
+    swept = draw(st.sampled_from(_SWEPT_CHOICES))
+    key = "omega_frac" if swept == "omega" else swept
+    fixed = {name: draw(_mostly(_any_double(*values), st.none()))
+             for name, values in _SWEEP_VALUES.items() if name != key}
+    bounds = sorted(draw(st.lists(_any_double(*_SWEEP_VALUES[key]), min_size=2, max_size=2)))
+    return ["sweep", f"--swept={swept}", f"--scale={draw(st.sampled_from(('linear', 'log')))}",
+            f"--count={draw(_COUNT)}", *_flags(min=bounds[0], max=bounds[1], tol=draw(_TOL), **fixed),
+            *draw(_material())]
+
+
+@st.composite
+def _validate_argv(draw):
+    fracs = draw(st.lists(_any_double(1e-30, 1e-3, 1e-2, 0.3, 1.5, 10.0), min_size=1, max_size=4))
+    maybe = lambda *values: draw(_mostly(_any_double(*values), st.none()))
+    return ["validate", f"--omega-fracs={','.join(map(repr, fracs))}",
+            *_flags(theta=maybe(0.0, 0.7, math.pi / 2), d_min=maybe(1e-300, 1e-20, 1e-9),
+                    d_max=maybe(1e-6, 1e-4, 1e-2), d_count=draw(_mostly(_COUNT, st.none())), tol=draw(_TOL)),
+            *draw(_material())]
+
+
+def _exits_0_or_2(argv, out):
+    """``main(argv)`` exits 0 with a finite CSV at ``out`` or 2; any other exception propagates."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        try:
+            code = main([*argv, f"--out={out}"])
+        except SystemExit as exc:
+            code = exc.code
+    assert code in (0, 2) and "Traceback" not in err.getvalue()
+    if code == 0:
+        rows = [line.split(",")[1:] for line in out.read_text().splitlines()[1:]]
+        assert rows and all(math.isfinite(float(x)) for row in rows for x in row)
+    out.unlink(missing_ok=True)
+
+
+_FUZZ = settings(derandomize=True, database=None, max_examples=100, deadline=None)
+
+
+@_FUZZ
+@given(argv=_sweep_argv())
+@example(argv=_COMMANDS["sweep"] + _BAD_MATERIALS["sigma0-overflow"])
+@example(argv=_COMMANDS["sweep"] + _BAD_MATERIALS["l-underflow"])
+@example(argv=_COMMANDS["sweep"] + _BAD_MATERIALS["tau-overflow"])
+def test_sweep_fuzz_exits_0_or_2(tmp_path_factory, argv):
+    """Any sweep argv exits 0 with a finite CSV or 2 with a usage error, never a traceback."""
+    _exits_0_or_2(argv, tmp_path_factory.mktemp("sweep") / "x.csv")
+
+
+@_FUZZ
+@given(argv=_validate_argv())
+@example(argv=["validate", *_BAD_MATERIALS["sigma0-overflow"]])
+@example(argv=["validate", *_BAD_MATERIALS["l-underflow"]])
+@example(argv=["validate", *_BAD_MATERIALS["tau-overflow"]])
+def test_validate_fuzz_exits_0_or_2(tmp_path_factory, argv):
+    """Any validate argv exits 0 with a finite report or 2 with a usage error, never a traceback."""
+    _exits_0_or_2(argv, tmp_path_factory.mktemp("validate") / "x.csv")

@@ -61,6 +61,20 @@ class TestDeriveBulk:
         with pytest.raises(ValueError):
             MaterialParams(**kwargs)
 
+    @pytest.mark.parametrize(
+        "omega_p, v_f, nu, message",
+        [
+            (1e200, 1e8, 1e10, "sigma_0 must be positive and finite, got inf"),  # omega_p**2 overflows
+            (1e15, 1e-300, 1e300, "l must be positive and finite, got 0.0"),  # v_f/nu underflows
+            (1e15, 1e8, 1e-320, "tau must be positive and finite, got inf"),  # 1/nu overflows
+        ],
+        ids=["sigma0-overflow", "l-underflow", "tau-overflow"],
+    )
+    def test_derived_quantities_must_be_finite(self, omega_p, v_f, nu, message):
+        """Each input is fine alone; a derived quantity leaving the doubles is a ValueError."""
+        with pytest.raises(ValueError, match=re.escape(message) + "$"):
+            MaterialParams(omega_p=omega_p, v_f=v_f, nu=nu)
+
 
 class TestSodiumPreset:
     def test_exact_values(self):

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -9,7 +10,6 @@ from metalfilm import (
     FilmSetup,
     LocalSlabParams,
     MaterialParams,
-    SlabResonanceError,
     derive_bulk,
     exact_impedances,
     exact_tra,
@@ -20,7 +20,7 @@ from metalfilm import (
     validate_thin_film,
 )
 from metalfilm.slab import _impedances_from_q, default_validation_setups
-from helpers import reference_validation
+from helpers import airy_slab_tra, reference_validation
 
 
 def drude(m, omega):
@@ -114,35 +114,25 @@ class TestExactImpedances:
         assert abs(a.z1 - b.z1) / abs(a.z1) < 1e-12
         assert abs(a.z2 - b.z2) / abs(a.z2) < 1e-12
 
-    def test_resonance_detection(self):
-        """A lossless slab of half-wave thickness sits on a cot pole."""
-        omega = 3e14
-        k = omega / C_LIGHT
-        d = 2.0 * math.pi / k  # q*d/2 = pi for vacuum at normal incidence
-        with pytest.raises(SlabResonanceError) as info:
-            exact_impedances(
-                LocalSlabParams(sigma_local=0j, d=d, theta=0.0, omega=omega)
-            )
-        assert info.value.qd_half == pytest.approx(math.pi, rel=1e-12)
+    def test_zero_q_and_zero_tan_limits(self):
+        """q = 0 and an underflowing q*d/2 take the limits, not an error.
 
-    def test_array_reports_first_pole(self):
-        """Among many slabs, the first one on a pole is the one reported.
-
-        Element 1 is a lossless slab with q*d/2 = pi/2 (a tan pole);
-        element 2, a cot pole further on, is not the one named.
+        A vacuum slab at grazing incidence with k^2 cos^2 underflowing has
+        q = 0, so z1 = -i*k*d/2; a slab with q*d/2 below the smallest
+        double has tan = 0, so z2 = inf.  Both are transparent.
         """
-        m = sodium_preset()
-        omega = 3e14
-        k = omega / C_LIGHT
-        lp = LocalSlabParams(
-            sigma_local=np.array([drude(m, omega), 0j, 0j, drude(m, omega)]),
-            d=np.array([1e-7, math.pi / k, 2.0 * math.pi / k, 1e-6]),
-            theta=0.0,
-            omega=omega,
-        )
-        with pytest.raises(SlabResonanceError, match="^tan pole") as info:
-            exact_tra(lp)
-        assert info.value.qd_half == pytest.approx(math.pi / 2, rel=1e-12)
+        zero_q = LocalSlabParams(sigma_local=0j, d=5e-324, theta=math.pi / 2, omega=1e-300)
+        zero_tan = LocalSlabParams(sigma_local=0j, d=5e-324, theta=0.0, omega=1e10)
+        assert slab_wavevector(zero_q) == 0.0
+        z = exact_impedances(zero_q)
+        assert z.z1 == -0.5j * (1e-300 / C_LIGHT) * 5e-324 and z.z2 == math.inf
+        assert exact_impedances(zero_tan).z2 == math.inf
+        for lp in (zero_q, zero_tan):
+            c = exact_tra(lp)
+            assert (c.T, c.R, c.A) == (1.0, 0.0, 0.0)
+        both = exact_tra(LocalSlabParams(sigma_local=0j, d=5e-324, theta=np.array([math.pi / 2, 0.0]),
+                                         omega=np.array([1e-300, 1e10])))
+        assert both.T.tolist() == [1.0, 1.0] and both.R.tolist() == [0.0, 0.0]
 
     def test_array_elements_match_scalar_calls(self):
         """The array route gives each element its scalar result, to rounding.
@@ -235,6 +225,46 @@ class TestExactTra:
         assert devs[3] < devs[0] * 1e-3
 
 
+def _pole_slabs():
+    """Lossless slabs of n half-waves (q*d = n*pi): tan poles for odd n, cot poles for even."""
+    omega = 3e14
+    for sigma in (0j, -5e13j):  # vacuum and a lossless conductor
+        for theta in (0.0, 0.7, 1.4):
+            q = slab_wavevector(LocalSlabParams(sigma_local=sigma, d=1e-5, theta=theta, omega=omega))
+            for n in (1, 2, 3, 10, 1000):
+                yield sigma, n * math.pi / q.real, theta, omega
+
+
+def _sodium_slabs(omega_fracs, ds, theta):
+    m = sodium_preset()
+    for frac in omega_fracs:
+        for d in ds:
+            yield drude(m, frac * m.omega_p), d, theta, frac * m.omega_p
+
+
+_K_POLE = 3e14 / C_LIGHT
+_AIRY_CASES = {
+    "poles": list(_pole_slabs()),
+    "thin-sodium": list(_sodium_slabs((1e-3, 1e-2), 10.0 ** np.arange(-300.0, -8.0, 20.0), 0.3)),
+    "low-frequency": list(_sodium_slabs((1e-30,), (1e-20, 1e-9, 1e-5), 0.0)),
+    # a sodium slab, a tan pole, a cot pole and a thicker sodium slab
+    "mixed-poles": [(drude(sodium_preset(), 3e14), 1e-7, 0.0, 3e14), (0j, math.pi / _K_POLE, 0.0, 3e14),
+                    (0j, 2.0 * math.pi / _K_POLE, 0.0, 3e14), (drude(sodium_preset(), 3e14), 1e-6, 0.0, 3e14)],
+}
+
+
+@pytest.mark.parametrize("name", sorted(_AIRY_CASES))
+def test_exact_tra_matches_airy_formula(name):
+    """At tan/cot poles, in the thin limit and at omega/omega_p = 1e-30 the
+    impedance route agrees with the 50-digit Airy formula, scalar and array."""
+    cases = _AIRY_CASES[name]
+    want = np.array([airy_slab_tra(*case) for case in cases])
+    scalar = np.array([[c.T, c.R, c.A] for c in (exact_tra(LocalSlabParams(*case)) for case in cases)])
+    array = exact_tra(LocalSlabParams(*(np.array(field) for field in zip(*cases))))
+    assert np.abs(scalar - want).max() <= 1e-14
+    assert np.abs(np.array([array.T, array.R, array.A]).T - want).max() <= 1e-14
+
+
 class TestValidateThinFilm:
     def test_requires_specular_surfaces(self):
         m = sodium_preset()
@@ -286,6 +316,20 @@ class TestValidateThinFilm:
                               (row.abs_dA, abs(thin.A - exact.A))):
                 assert abs(got - want) <= 2e-15
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("d, omega_frac", [(1e300, 1e3), (1e-9, 1e160)], ids=["kd-overflow", "q-overflow"])
+    def test_overflowing_columns_rejected_before_either_side(self, monkeypatch, d, omega_frac):
+        """A setup whose kd or q*d leaves the doubles is a ValueError naming its d, with no warning."""
+        calls = []
+        for name in ("tra_for_film", "exact_tra"):
+            monkeypatch.setattr(metalfilm.slab, name, lambda *a, _n=name: calls.append(_n))
+        m = sodium_preset()
+        setups = [FilmSetup(d=1e-7, theta=0.0, omega=1e-2 * m.omega_p, p=1.0),
+                  FilmSetup(d=d, theta=0.0, omega=omega_frac * m.omega_p, p=1.0)]
+        with pytest.raises(ValueError, match=re.escape(f"q*d, w and kd must be finite, got {d!r}") + "$"):
+            validate_thin_film(m, setups)
+        assert calls == []
+
     def test_default_grid_shape(self):
         m = sodium_preset()
         setups = default_validation_setups(m, d_count=5, omega_fracs=(1e-2,))
@@ -328,7 +372,7 @@ def test_validation_matches_cmath_reference(name):
             assert abs(getattr(g, c) - getattr(r, c)) <= 2e-15
         assert abs(g.d_over_delta - r.d_over_delta) <= 1e-14 * abs(r.d_over_delta)
     if name == "thick":
-        # |Im(q*d/2)| = d_over_delta/2 past the resonance-test cut-off
+        # |Im(q*d/2)| = d_over_delta/2 reaches 30, where tan(q*d/2) is i to double precision
         assert max(r.d_over_delta for r in ref) / 2 >= 30.0
 
 
