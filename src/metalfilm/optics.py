@@ -6,11 +6,14 @@ the wavelength reduces to a single dimensionless admittance
     B = 2*pi*d*sigma_d / (c*cos(theta)),
 
 giving  T = 1/|1+B|^2,  R = |B|^2/|1+B|^2,  A = 2*Re(B)/|1+B|^2,  which sum
-to one identically.  The same coefficients follow from the two surface
-impedances of the antisymmetric- and symmetric-field configurations via the
-reflection-like factors P_j = (Z_j*cos(theta) - 1)/(Z_j*cos(theta) + 1); that
-impedance route is kept public because it also accepts the exact slab
-impedances used for validation.
+to one identically.  A film whose |1+B|^2 is infinite is a perfect mirror,
+(T, R, A) = (0, 1, 0); grazing incidence (theta = pi/2, cos(theta) = 0) is
+the case B = inf of that one rule.  The same coefficients follow from the
+two surface impedances of the antisymmetric- and symmetric-field
+configurations via the reflection-like factors
+P_j = (Z_j*cos(theta) - 1)/(Z_j*cos(theta) + 1); that impedance route is
+kept public because it also accepts the exact slab impedances used for
+validation.
 """
 
 from __future__ import annotations
@@ -23,7 +26,6 @@ import numpy as np
 from .materials import C_LIGHT, _check_film, _require
 
 __all__ = [
-    "GrazingIncidenceError",
     "PassivityError",
     "ImpedancePair",
     "OpticalCoefficients",
@@ -33,10 +35,6 @@ __all__ = [
     "tra_from_impedances",
     "tra_for_film",
 ]
-
-
-class GrazingIncidenceError(ValueError):
-    """cos(theta) vanishes; use the analytic limit (T, R, A) = (0, 1, 0)."""
 
 
 class PassivityError(ValueError):
@@ -72,15 +70,16 @@ def b_factor(sigma, d, theta):
     """Film admittance B = 2*pi*d*sigma/(c*cos(theta)).
 
     Scalars or numpy arrays (broadcast); scalar input returns a complex.
-    d and theta obey the FilmSetup rules, except that theta = pi/2 raises
-    GrazingIncidenceError so callers can switch to the analytic grazing
-    limit.
+    d and theta obey the FilmSetup rules.  At theta = pi/2 the admittance
+    diverges and B = inf for any sigma, which :func:`tra_from_b` turns
+    into the mirror limit (0, 1, 0).
     """
     d, theta = np.asarray(d, dtype=float), np.asarray(theta, dtype=float)
     _check_film(d, theta)
-    if np.count_nonzero(theta == math.pi / 2):
-        raise GrazingIncidenceError("theta = pi/2: use the grazing limit (0, 1, 0)")
-    b = 2.0 * math.pi * d * sigma / (C_LIGHT * np.cos(theta))
+    # the quotient may overflow where cos(theta) is tiny; an infinite B is the mirror limit
+    with np.errstate(over="ignore"):
+        b = 2.0 * math.pi * d * sigma / (C_LIGHT * np.cos(theta))
+    b = np.where(theta == math.pi / 2, math.inf, b)
     return b if b.ndim else complex(b)
 
 
@@ -91,13 +90,6 @@ def _coefficients(T, R, A) -> OpticalCoefficients:
     return OpticalCoefficients(T=float(T), R=float(R), A=float(A))
 
 
-def _mirror_where(mask: np.ndarray, T, R, A):
-    """Replace the masked elements by the perfect-mirror limit (0, 1, 0)."""
-    if np.count_nonzero(mask):
-        return np.where(mask, 0.0, T), np.where(mask, 1.0, R), np.where(mask, 0.0, A)
-    return T, R, A
-
-
 def _tra_arrays(b: np.ndarray):
     br, bi = b.real, b.imag
     _require(br >= 0.0, "Re(B) must be >= 0", b, PassivityError)
@@ -106,8 +98,11 @@ def _tra_arrays(b: np.ndarray):
         bi2 = bi**2
         denom = (1.0 + br) ** 2 + bi2
         T, R, A = 1.0 / denom, (br**2 + bi2) / denom, 2.0 * br / denom
-    # |1+B|^2 beyond the float range: the film is a perfect mirror
-    return _mirror_where(np.isinf(denom), T, R, A)
+    # |1+B|^2 beyond the float range (B = inf at grazing incidence): a perfect mirror
+    mirror = np.isinf(denom)
+    if np.count_nonzero(mirror):
+        return np.where(mirror, 0.0, T), np.where(mirror, 1.0, R), np.where(mirror, 0.0, A)
+    return T, R, A
 
 
 def tra_from_b(b) -> OpticalCoefficients:
@@ -117,7 +112,8 @@ def tra_from_b(b) -> OpticalCoefficients:
     Python floats for scalar input and arrays of the same shape otherwise.
     T + R + A = 1 holds algebraically since |1+B|^2 = 1 + |B|^2 + 2*Re(B).
     R is computed as |B|^2/|1+B|^2 (identical to 1/|1+1/B|^2) so that
-    B = 0 cleanly yields the transparent-film limit (1, 0, 0).  Any
+    B = 0 cleanly yields the transparent-film limit (1, 0, 0), and a B whose
+    |1+B|^2 overflows, B = inf included, the mirror limit (0, 1, 0).  Any
     element with Re(B) < 0 or NaN raises PassivityError, and one with a
     NaN Im(B) raises ValueError.
     """
@@ -129,7 +125,6 @@ def thin_impedances(
     d: float,
     omega: float,
     theta: float,
-    kd_zero: bool = False,
 ) -> ImpedancePair:
     """Thin-slab impedance pair.
 
@@ -140,17 +135,11 @@ def thin_impedances(
 
     where the reactive cos^2 term in z2 is the leading kd-correction kept
     by the thin-slab field balance (it matches the qd->0 expansion of the
-    exact slab solution).  ``kd_zero=True`` returns the long-wavelength
-    simplification z1 = 0, z2 = c/(2*pi*d*sigma); an infinite z2 stands
-    for the non-conducting open-circuit limit.  d, omega and theta obey
-    the FilmSetup rules.
+    exact slab solution).  An infinite z2 stands for the non-conducting
+    open-circuit limit.  d, omega and theta obey the FilmSetup rules.
     """
     _check_film(d, theta, omega)
     sigma = complex(sigma)
-    if kd_zero:
-        if sigma == 0:
-            return ImpedancePair(z1=0j, z2=complex(math.inf, 0.0))
-        return ImpedancePair(z1=0j, z2=C_LIGHT / (2.0 * math.pi * d * sigma))
     kd = omega * d / C_LIGHT
     z1 = -0.5j * kd
     denom = -1j * C_LIGHT * kd * math.cos(theta) ** 2 + 4.0 * math.pi * d * sigma
@@ -183,13 +172,9 @@ def tra_from_impedances(z: ImpedancePair, theta) -> OpticalCoefficients:
 
 
 def tra_for_film(sigma, d, theta) -> OpticalCoefficients:
-    """Grazing-safe coefficients for a film of conductivity ``sigma``.
+    """Coefficients for a film of conductivity ``sigma``: ``tra_from_b(b_factor(...))``.
 
-    Scalars or numpy arrays (broadcast), returned as by :func:`tra_from_b`.
-    Elements at theta = pi/2 take the analytic limit (0, 1, 0); the others
-    use the admittance route.
+    Scalars or numpy arrays (broadcast), returned as by :func:`tra_from_b`;
+    elements at theta = pi/2 have B = inf and so give (0, 1, 0).
     """
-    theta = np.asarray(theta, dtype=float)
-    grazing = theta == math.pi / 2
-    b = np.asarray(b_factor(sigma, d, np.where(grazing, 0.0, theta)), dtype=complex)
-    return _coefficients(*_mirror_where(grazing, *_tra_arrays(np.where(grazing, 0.0, b))))
+    return tra_from_b(b_factor(sigma, d, theta))

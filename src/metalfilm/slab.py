@@ -84,7 +84,7 @@ def slab_wavevector(lp: LocalSlabParams):
 def _impedances_from_q(q, k, d) -> ImpedancePair:
     q = np.asarray(q, dtype=complex)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        t = np.tan(q * d / 2.0)
+        t = np.tan(q * (d / 2.0))
         ik_q = 1j * k / q
         z1 = np.where(q == 0.0, -0.5j * k * d, -ik_q * t)
         z2 = np.where(t == 0.0, np.inf, ik_q / t)
@@ -173,14 +173,15 @@ def default_validation_setups(
 ) -> list[FilmSetup]:
     """Log-spaced thickness grid crossed with a few frequencies, at p = 1.
 
-    The default range deliberately extends past the skin depth so the
-    report shows the thin-film model breaking down.
+    The grid is ``np.geomspace(d_min, d_max, d_count)``, so its ends are
+    d_min and d_max exactly and no point overflows.  The default range
+    deliberately extends past the skin depth so the report shows the
+    thin-film model breaking down.
     """
     _require(d_count >= 2, "d_count must be >= 2", d_count)
     _check_positive("d_min", d_min)
     _check_positive("d_max", d_max)
-    ratio = (d_max / d_min) ** (1.0 / (d_count - 1))
-    ds = [d_min * ratio**i for i in range(d_count)]
+    ds = np.geomspace(d_min, d_max, d_count).tolist()
     return [
         FilmSetup(d=d, theta=theta, omega=frac * m.omega_p, p=1.0)
         for frac in omega_fracs

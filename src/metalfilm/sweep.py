@@ -150,10 +150,9 @@ def run_sweep(spec: SweepSpec) -> list[SweepRow]:
     The Drude value, w, kd and (T, R, A) are array expressions over the
     grid.  Points with p < 1 take sigma_d from one scalar evaluation per
     distinct (d, omega, p), made in grid order and copied to every row
-    that shares it, so a theta sweep needs a single kernel integral.
-    Coefficients are clamped to [0, 1] here, in the presentation layer
-    only; the core routines never clamp.  A quadrature that did not
-    converge shows as a large quad_err value instead of aborting the run.
+    that shares it, so a theta sweep needs a single kernel integral.  A
+    quadrature that did not converge shows as a large quad_err value
+    instead of aborting the run.
     """
     m = spec.material
     values = spec.grid.values()
@@ -182,7 +181,7 @@ def run_sweep(spec: SweepSpec) -> list[SweepRow]:
     swept_name = "omega_over_omega_p" if spec.swept == "omega" else spec.swept
     columns = (
         values,
-        *(np.clip(x, 0.0, 1.0).tolist() for x in (coeffs.T, coeffs.R, coeffs.A)),
+        coeffs.T.tolist(), coeffs.R.tolist(), coeffs.A.tolist(),
         sigma.real.tolist(), sigma.imag.tolist(), w.real.tolist(), w.imag.tolist(),
         (omega * d / C_LIGHT).tolist(), quad_err.tolist(),
     )

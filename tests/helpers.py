@@ -100,10 +100,6 @@ def fuchs_ratio(w, p, dps=30):
             n += 1
 
 
-def _clamp01(x):
-    return 0.0 if x < 0.0 else 1.0 if x > 1.0 else x
-
-
 def reference_sweep(spec):
     """Evaluate a SweepSpec one grid point at a time with the scalar routines."""
     m = spec.material
@@ -127,7 +123,7 @@ def reference_sweep(spec):
         c = tra_for_film(sigma, s.d, s.theta)
         rows.append(
             SweepRow(
-                swept_name, v, _clamp01(c.T), _clamp01(c.R), _clamp01(c.A),
+                swept_name, v, c.T, c.R, c.A,
                 sigma.real, sigma.imag, w.real, w.imag, s.omega * s.d / C_LIGHT, quad_err,
             )
         )

@@ -9,7 +9,9 @@ import math
 import numpy as np
 
 from metalfilm import (
+    C_LIGHT,
     FilmSetup,
+    ImpedancePair,
     LocalSlabParams,
     b_factor,
     derive_bulk,
@@ -20,7 +22,6 @@ from metalfilm import (
     run_sweep,
     sigma_d,
     sodium_preset,
-    thin_impedances,
     tra_for_film,
     tra_from_b,
     tra_from_impedances,
@@ -214,10 +215,7 @@ def test_c8_route_equivalence():
         sigma += 1j * sigma.real * rng.uniform(-3, 3)
         d = 10.0 ** rng.uniform(-9, -5)
         theta = rng.uniform(0.0, math.pi / 2 * 0.999)
-        omega = 10.0 ** rng.uniform(12, 16)
-        via_z = tra_from_impedances(
-            thin_impedances(sigma, d, omega, theta, kd_zero=True), theta
-        )
+        via_z = tra_from_impedances(ImpedancePair(0j, C_LIGHT / (2 * math.pi * d * sigma)), theta)
         via_b = tra_from_b(b_factor(sigma, d, theta))
         worst = max(
             worst,

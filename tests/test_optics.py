@@ -6,7 +6,6 @@ import pytest
 from metalfilm import (
     C_LIGHT,
     FilmSetup,
-    GrazingIncidenceError,
     ImpedancePair,
     PassivityError,
     b_factor,
@@ -37,9 +36,13 @@ class TestBFactor:
         b = b_factor(SODIUM_SIGMA_FIG1, 1e-7, 0.0)
         assert abs(b - SODIUM_B_FIG1) / abs(SODIUM_B_FIG1) < 1e-14
 
-    def test_grazing_raises(self):
-        with pytest.raises(GrazingIncidenceError):
-            b_factor(1e15 + 0j, 1e-7, math.pi / 2)
+    def test_grazing_is_infinite_admittance(self):
+        """At theta = pi/2, B = inf for any sigma, and tra_from_b makes it a mirror."""
+        for sigma in (1e15 + 0j, 0j, SODIUM_SIGMA_FIG1):
+            b = b_factor(sigma, 1e-7, math.pi / 2)
+            assert b == complex(math.inf, 0.0)
+            c = tra_from_b(b)
+            assert (c.T, c.R, c.A) == (0.0, 1.0, 0.0)
 
     def test_invalid_inputs(self):
         with pytest.raises(ValueError):
@@ -113,17 +116,6 @@ class TestThinImpedances:
         assert abs(strong.z2) < 1e-12
         assert abs(strong.z2) < 1e-10 * abs(weak.z2)
 
-    def test_kd_zero_variant(self):
-        sigma = 2e15 + 1e15j
-        d = 1e-7
-        pair = thin_impedances(sigma, d, 1e14, 0.0, kd_zero=True)
-        assert pair.z1 == 0
-        assert pair.z2 == C_LIGHT / (2 * math.pi * d * sigma)
-
-    def test_kd_zero_open_circuit(self):
-        pair = thin_impedances(0j, 1e-7, 1e14, 0.0, kd_zero=True)
-        assert math.isinf(abs(pair.z2))
-
     @pytest.mark.parametrize(
         "d, omega, theta",
         [
@@ -147,7 +139,7 @@ class TestThinImpedances:
         s = FilmSetup(d=1e-7, theta=0.0, omega=1e-2 * m.omega_p, p=0.5)
         sigma = sigma_d(m, s).sigma_d
         full = thin_impedances(sigma, s.d, s.omega, s.theta)
-        simple = thin_impedances(sigma, s.d, s.omega, s.theta, kd_zero=True)
+        simple = ImpedancePair(0j, C_LIGHT / (2 * math.pi * s.d * sigma))
         rel = abs(full.z2 - simple.z2) / abs(full.z2)
         assert 1e-5 < rel < 1e-3  # ~ omega/(4 pi |sigma|), about 3e-4 here
 
@@ -177,10 +169,7 @@ class TestTraFromImpedances:
             sigma += 1j * sigma.real * rng.uniform(-3, 3)
             d = 10.0 ** rng.uniform(-9, -5)
             theta = rng.uniform(0.0, math.pi / 2 * 0.999)
-            omega = 10.0 ** rng.uniform(12, 16)
-            via_z = tra_from_impedances(
-                thin_impedances(sigma, d, omega, theta, kd_zero=True), theta
-            )
+            via_z = tra_from_impedances(ImpedancePair(0j, C_LIGHT / (2 * math.pi * d * sigma)), theta)
             via_b = tra_from_b(b_factor(sigma, d, theta))
             assert abs(via_z.T - via_b.T) < 1e-12
             assert abs(via_z.R - via_b.R) < 1e-12

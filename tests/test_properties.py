@@ -57,6 +57,17 @@ def test_reflection_over_transmission_is_b_squared(re_b, im_b, im_sign):
     assert abs(c.R / c.T - b2) <= 1e-15 * b2
 
 
+_PASSIVE_PART = st.one_of(st.just(0.0), st.floats(0.0, 1e308), st.just(math.inf))
+
+
+@_SETTINGS
+@given(re_b=_PASSIVE_PART, im_b=_PASSIVE_PART, im_sign=st.sampled_from((-1.0, 1.0)))
+def test_coefficients_of_a_passive_film_lie_in_unit_interval(re_b, im_b, im_sign):
+    """Re B >= 0 gives T, R and A in [0, 1] with no clamping, from B = 0 to B = inf."""
+    c = tra_from_b(complex(re_b, im_sign * im_b))
+    assert all(0.0 <= x <= 1.0 for x in (c.T, c.R, c.A))
+
+
 @_SETTINGS
 @given(re_s=st.floats(0.0, 1e18), im_s=st.floats(-1e18, 1e18), d=st.floats(1e-10, 1e-3),
        theta=st.floats(0.0, 1.5))

@@ -247,16 +247,20 @@ _AIRY_CASES = {
     "poles": list(_pole_slabs()),
     "thin-sodium": list(_sodium_slabs((1e-3, 1e-2), 10.0 ** np.arange(-300.0, -8.0, 20.0), 0.3)),
     "low-frequency": list(_sodium_slabs((1e-30,), (1e-20, 1e-9, 1e-5), 0.0)),
+    # q*d overflows at the largest thickness: the half-space value, not a mirror
+    "overflowed-thickness": list(_sodium_slabs((1e-2,), (1e300, 1.7e308), 0.3)),
     # a sodium slab, a tan pole, a cot pole and a thicker sodium slab
     "mixed-poles": [(drude(sodium_preset(), 3e14), 1e-7, 0.0, 3e14), (0j, math.pi / _K_POLE, 0.0, 3e14),
                     (0j, 2.0 * math.pi / _K_POLE, 0.0, 3e14), (drude(sodium_preset(), 3e14), 1e-6, 0.0, 3e14)],
 }
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("name", sorted(_AIRY_CASES))
 def test_exact_tra_matches_airy_formula(name):
-    """At tan/cot poles, in the thin limit and at omega/omega_p = 1e-30 the
-    impedance route agrees with the 50-digit Airy formula, scalar and array."""
+    """At tan/cot poles, in the thin limit, at omega/omega_p = 1e-30 and where
+    q*d overflows the impedance route agrees with the 50-digit Airy formula,
+    scalar and array, with no RuntimeWarning."""
     cases = _AIRY_CASES[name]
     want = np.array([airy_slab_tra(*case) for case in cases])
     scalar = np.array([[c.T, c.R, c.A] for c in (exact_tra(LocalSlabParams(*case)) for case in cases)])
@@ -337,6 +341,14 @@ class TestValidateThinFilm:
         assert all(s.p == 1.0 for s in setups)
         assert setups[0].d == pytest.approx(1e-9)
         assert setups[-1].d == pytest.approx(1e-4)
+
+    @pytest.mark.parametrize("d_min, d_max, d_count", [(1e-9, 1e-5, 250), (1e300, 1.7e308, 11), (1e-5, 1e-9, 4)],
+                             ids=["250-points", "near-overflow", "descending"])
+    def test_grid_ends_are_exact_and_finite(self, d_min, d_max, d_count):
+        ds = [s.d for s in default_validation_setups(sodium_preset(), d_min, d_max, d_count, (1e-2,))]
+        assert (ds[0], ds[-1]) == (d_min, d_max)
+        assert all(math.isfinite(d) for d in ds)
+        assert ds == sorted(ds, reverse=d_max < d_min)
 
 
 _SODIUM = sodium_preset()
